@@ -135,11 +135,18 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (exactly one value plus whitespace).
+    /// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+    pub const MAX_DEPTH: usize = 128;
+
+    /// Parses a JSON document (exactly one value plus whitespace). Arrays
+    /// and objects nested more than [`Self::MAX_DEPTH`] deep are a
+    /// [`ParseError`]: the parser recurses once per level, so an unbounded
+    /// depth would let a hostile document overflow the stack.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -297,6 +304,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -341,8 +350,20 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == Json::MAX_DEPTH {
+                    let message = format!("nested deeper than {} levels", Json::MAX_DEPTH);
+                    return Err(self.err(message));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -527,6 +548,20 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "nul", "1 2", "\"open"] {
             assert!(Json::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let limit = Json::MAX_DEPTH;
+        assert!(Json::parse(&nested(limit)).is_ok());
+        let err = Json::parse(&nested(limit + 1)).unwrap_err();
+        assert_eq!(err.offset, limit);
+        // A million levels would overflow the stack of an unbounded parser.
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        let objects = r#"{"a":"#.repeat(limit + 1) + "1" + &"}".repeat(limit + 1);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

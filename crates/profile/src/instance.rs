@@ -8,9 +8,10 @@
 //! instance, and — because the concatenation is a *sample* rather than the
 //! whole class — yields diverse candidates across repeated draws.
 
+use ips_distance::{is_constant_sigma, RollingStats};
 use ips_tsdata::ClassConcat;
 
-use crate::matrix::{MatrixProfile, Metric};
+use crate::matrix::Metric;
 
 /// One annotated subsequence of the instance profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,48 +36,59 @@ impl InstanceProfile {
     /// Computes the instance profile of `concat` for window length
     /// `window`.
     ///
-    /// Implementation: one AB-join per ordered instance pair `(a, b)`,
-    /// `a != b`, using the incremental kernels of
-    /// [`MatrixProfile::ab_join`]; the per-subsequence minimum over all `b`
-    /// is the `ip_i` of Definition 9. Subsequences straddling a boundary
-    /// never appear because joins operate on per-instance slices.
+    /// Implementation: one STOMP pass per **unordered** instance pair
+    /// `(a, b)`. The pass walks the `a × b` window grid in row order with
+    /// the recurrence `qt[i][j] = qt[i-1][j-1] + (a[i+m-1]·b[j+m-1] −
+    /// a[i-1]·b[j-1])` (squared differences for [`Metric::MeanSquared`]),
+    /// and each pair statistic updates both `a`'s row best and `b`'s column
+    /// best. Window statistics are computed once per instance. The pass
+    /// tracks a *score* — the clamped correlation for
+    /// [`Metric::ZNormEuclidean`], the negated squared distance for
+    /// [`Metric::MeanSquared`] — and converts the best score into a
+    /// distance once per window at the end; both conversions are monotone
+    /// under IEEE rounding, so every `value` is bit-identical to the
+    /// minimum of [`MatrixProfile::ab_join`](crate::MatrixProfile::ab_join)
+    /// over all other instances. Subsequences straddling a boundary never
+    /// appear because the passes operate on per-instance slices.
+    ///
+    /// `nn_start` is the earliest-starting window with the best score. When
+    /// several windows tie at the minimum distance, that can be a different
+    /// one of them than a per-row `ab_join` scan picks: the scan keeps the
+    /// first minimum in diagonal order, and neighbouring correlations can
+    /// round to the same distance. A window with no other instance long
+    /// enough to match keeps `value = +∞` and `nn_start = 0`.
     pub fn compute(concat: &ClassConcat, window: usize, metric: Metric) -> Self {
-        let mut entries: Vec<ProfileEntry> = Vec::new();
-        let k = concat.num_instances();
         let values = concat.values();
-        for ai in 0..k {
-            let (a_start, a_len, _) = concat.segment(ai);
-            if a_len < window || window == 0 {
-                continue;
+        let mut sides: Vec<Side> = (0..concat.num_instances())
+            .map(|i| concat.segment(i))
+            .filter(|&(_, len, _)| window > 0 && len >= window)
+            .map(|(start, len, _)| Side::new(&values[start..start + len], start, window, metric))
+            .collect();
+        let mut rows = Rows::default();
+        for ai in 0..sides.len() {
+            let (head, tail) = sides.split_at_mut(ai + 1);
+            for b in tail {
+                join(&mut head[ai], b, window, metric, &mut rows);
             }
-            let a_slice = &values[a_start..a_start + a_len];
-            let n_a = a_len - window + 1;
-            let mut best = vec![f64::INFINITY; n_a];
-            let mut best_nn = vec![0usize; n_a];
-            for bi in 0..k {
-                if bi == ai {
-                    continue;
-                }
-                let (b_start, b_len, _) = concat.segment(bi);
-                if b_len < window {
-                    continue;
-                }
-                let b_slice = &values[b_start..b_start + b_len];
-                let mp = MatrixProfile::ab_join(a_slice, b_slice, window, metric);
-                for (i, (&v, &nn)) in mp.values().iter().zip(mp.nn_index()).enumerate() {
-                    if v < best[i] {
-                        best[i] = v;
-                        best_nn[i] = b_start + nn;
-                    }
-                }
-            }
-            entries.extend((0..n_a).map(|i| ProfileEntry {
-                start: a_start + i,
-                value: best[i],
-                nn_start: best_nn[i],
-            }));
         }
-        entries.sort_by_key(|e| e.start);
+        let m_f = window as f64;
+        let entries = sides
+            .iter()
+            .flat_map(|s| {
+                s.best
+                    .iter()
+                    .zip(&s.nn)
+                    .enumerate()
+                    .map(move |(w, (&score, &nn_start))| ProfileEntry {
+                        start: s.start + w,
+                        value: match metric {
+                            Metric::ZNormEuclidean => znorm_dist_from_corr(score, m_f),
+                            Metric::MeanSquared => -score / m_f,
+                        },
+                        nn_start,
+                    })
+            })
+            .collect();
         Self {
             entries,
             window,
@@ -139,6 +151,208 @@ impl InstanceProfile {
     pub fn values(&self) -> Vec<f64> {
         self.entries.iter().map(|e| e.value).collect()
     }
+}
+
+/// Correlation score of a pair of windows of which exactly one is constant:
+/// it converts to the distance `√m` (see [`ips_distance::znorm_dist_from_dot`]).
+const ONE_CONSTANT: f64 = 0.5;
+/// Correlation score of a pair of constant windows: distance exactly `0`.
+const BOTH_CONSTANT: f64 = 1.0;
+
+/// One instance of the sample: its window statistics, computed once and
+/// shared by every pair it joins, and the best score each of its windows
+/// has reached so far (higher is nearer).
+struct Side<'a> {
+    series: &'a [f64],
+    start: usize,
+    mu: Vec<f64>,
+    sd: Vec<f64>,
+    m_mu: Vec<f64>,
+    m_sd: Vec<f64>,
+    constant: Vec<bool>,
+    best: Vec<f64>,
+    nn: Vec<usize>,
+}
+
+impl<'a> Side<'a> {
+    fn new(series: &'a [f64], start: usize, m: usize, metric: Metric) -> Self {
+        let n = series.len() - m + 1;
+        let (mu, sd) = match metric {
+            Metric::ZNormEuclidean => {
+                let stats = RollingStats::new(series, m);
+                (stats.means().to_vec(), stats.stds().to_vec())
+            }
+            Metric::MeanSquared => (Vec::new(), Vec::new()),
+        };
+        let m_f = m as f64;
+        Self {
+            series,
+            start,
+            m_mu: mu.iter().map(|&x| m_f * x).collect(),
+            m_sd: sd.iter().map(|&x| m_f * x).collect(),
+            constant: sd
+                .iter()
+                .zip(&mu)
+                .map(|(&s, &u)| is_constant_sigma(s, u))
+                .collect(),
+            mu,
+            sd,
+            best: vec![f64::NEG_INFINITY; n],
+            nn: vec![0; n],
+        }
+    }
+}
+
+/// Scratch rows reused by every pair of one [`InstanceProfile::compute`].
+#[derive(Default)]
+struct Rows {
+    /// The pair statistic (dot product or squared distance) of the current
+    /// row, and the row being built from it.
+    grid: [Vec<f64>; 2],
+    /// The current row's scores as seen from `a`'s window and from each of
+    /// `b`'s windows (they differ only for the z-normalized metric).
+    a_view: Vec<f64>,
+    b_view: Vec<f64>,
+}
+
+/// One pass over the window grid of the pair `(a, b)`: every pair statistic
+/// becomes a score for `a`'s window (its row best) and a score for `b`'s
+/// window (its column best).
+fn join(a: &mut Side, b: &mut Side, m: usize, metric: Metric, rows: &mut Rows) {
+    let Rows {
+        grid,
+        a_view,
+        b_view,
+    } = rows;
+    let n_b = b.best.len();
+    a_view.resize(n_b, 0.0);
+    b_view.resize(n_b, 0.0);
+    let (a_series, b_series) = (a.series, b.series);
+    let visit = |i: usize, stat: &[f64]| {
+        let b_scores: &[f64] = match metric {
+            Metric::ZNormEuclidean => {
+                znorm_scores(a, i, b, stat, a_view, b_view);
+                b_view
+            }
+            // The squared distance is symmetric bitwise: one score serves
+            // both sides.
+            Metric::MeanSquared => {
+                for (s, &sq) in a_view.iter_mut().zip(stat) {
+                    *s = -sq.max(0.0);
+                }
+                a_view
+            }
+        };
+        let (mut best, mut nn) = (a.best[i], a.nn[i]);
+        for (j, &c) in a_view.iter().enumerate() {
+            if c > best {
+                best = c;
+                nn = b.start + j;
+            }
+        }
+        a.best[i] = best;
+        a.nn[i] = nn;
+        // Branch-free, so the column update vectorizes.
+        let pos = a.start + i;
+        for ((best, nn), &c) in b.best.iter_mut().zip(&mut b.nn).zip(b_scores) {
+            let better = c > *best;
+            *best = if better { c } else { *best };
+            *nn = if better { pos } else { *nn };
+        }
+    };
+    match metric {
+        Metric::ZNormEuclidean => {
+            let dot = |x: &[f64], y: &[f64]| -> f64 { x.iter().zip(y).map(|(p, q)| p * q).sum() };
+            let step = |qt: f64, a_drop: f64, a_add: f64, b_drop: f64, b_add: f64| {
+                qt + (a_add * b_add - a_drop * b_drop)
+            };
+            for_each_row(a_series, b_series, m, grid, dot, step, visit);
+        }
+        Metric::MeanSquared => {
+            let sq = |x: &[f64], y: &[f64]| -> f64 {
+                x.iter().zip(y).map(|(p, q)| (p - q) * (p - q)).sum()
+            };
+            let step = |sq: f64, a_drop: f64, a_add: f64, b_drop: f64, b_add: f64| {
+                let (drop, add) = (a_drop - b_drop, a_add - b_add);
+                sq + (add * add - drop * drop)
+            };
+            for_each_row(a_series, b_series, m, grid, sq, step, visit);
+        }
+    }
+}
+
+/// Walks the STOMP rows of the window grid of `a × b`: calls `visit(i,
+/// row)` with `row[j]` the pair statistic of windows `a[i..i+m]` and
+/// `b[j..j+m]`. Row 0 and column 0 start from `init`; every other cell
+/// extends its upper-left neighbour with `step(prev, a_drop, a_add, b_drop,
+/// b_add)` — the same diagonal recurrence, term for term, as
+/// [`MatrixProfile::ab_join`](crate::MatrixProfile::ab_join), so every
+/// statistic is bit-identical to the one that join computes.
+fn for_each_row(
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    [row, next]: &mut [Vec<f64>; 2],
+    init: impl Fn(&[f64], &[f64]) -> f64,
+    step: impl Fn(f64, f64, f64, f64, f64) -> f64,
+    mut visit: impl FnMut(usize, &[f64]),
+) {
+    let (n_a, n_b) = (a.len() - m + 1, b.len() - m + 1);
+    row.clear();
+    row.extend((0..n_b).map(|j| init(&a[..m], &b[j..j + m])));
+    visit(0, row);
+    next.resize(n_b, 0.0);
+    for i in 1..n_a {
+        let (a_drop, a_add) = (a[i - 1], a[i + m - 1]);
+        next[0] = init(&a[i..i + m], &b[..m]);
+        for j in 1..n_b {
+            next[j] = step(row[j - 1], a_drop, a_add, b[j - 1], b[j + m - 1]);
+        }
+        visit(i, next);
+        std::mem::swap(row, next);
+    }
+}
+
+/// The correlation scores of `a`'s window `i` against every window of `b`,
+/// into `a_view` (`a`'s window as the query) and `b_view` (`b`'s). The two
+/// stay separate expressions, each written as
+/// [`ips_distance::znorm_dist_from_dot`] writes it for its query side,
+/// because that formula is not symmetric bitwise.
+fn znorm_scores(a: &Side, i: usize, b: &Side, qt: &[f64], a_view: &mut [f64], b_view: &mut [f64]) {
+    let n = qt.len();
+    let (a_view, b_view, b_const) = (&mut a_view[..n], &mut b_view[..n], &b.constant[..n]);
+    if a.constant[i] {
+        for j in 0..n {
+            let c = if b_const[j] {
+                BOTH_CONSTANT
+            } else {
+                ONE_CONSTANT
+            };
+            a_view[j] = c;
+            b_view[j] = c;
+        }
+        return;
+    }
+    let (mu_a, sd_a, m_mu_a, m_sd_a) = (a.mu[i], a.sd[i], a.m_mu[i], a.m_sd[i]);
+    let (mu_b, sd_b, m_mu_b, m_sd_b) = (&b.mu[..n], &b.sd[..n], &b.m_mu[..n], &b.m_sd[..n]);
+    for j in 0..n {
+        let c_ab = ((qt[j] - m_mu_a * mu_b[j]) / (m_sd_a * sd_b[j])).clamp(-1.0, 1.0);
+        let c_ba = ((qt[j] - m_mu_b[j] * mu_a) / (m_sd_b[j] * sd_a)).clamp(-1.0, 1.0);
+        a_view[j] = if b_const[j] { ONE_CONSTANT } else { c_ab };
+        b_view[j] = if b_const[j] { ONE_CONSTANT } else { c_ba };
+    }
+}
+
+/// The distance of a best (already clamped) correlation score:
+/// `√(2m(1 − c))`, written as [`ips_distance::znorm_dist_from_dot`] writes
+/// it, so the two agree bit for bit. A window that met no other window
+/// keeps the score `−∞` and the distance `+∞`.
+fn znorm_dist_from_corr(corr: f64, m_f: f64) -> f64 {
+    let d2 = 2.0 * m_f * (1.0 - corr);
+    if !d2.is_finite() {
+        return f64::INFINITY;
+    }
+    d2.max(0.0).sqrt()
 }
 
 #[cfg(test)]
@@ -253,5 +467,62 @@ mod tests {
         let mut sorted = starts.clone();
         sorted.sort_unstable();
         assert_eq!(starts, sorted);
+    }
+
+    #[test]
+    fn constant_windows_pin_exact_zero_and_sqrt_m() {
+        // Instances 0 and 1 are flat at different levels; instance 2 has
+        // no flat window of length 4.
+        let ramp: Vec<f64> = (0..12).map(|i| (i * i) as f64 * 0.1).collect();
+        let concat = concat_of(&[vec![3.0; 12], vec![-7.5; 12], ramp]);
+        let ip = InstanceProfile::compute(&concat, 4, Metric::ZNormEuclidean);
+        for e in ip.entries() {
+            let (inst, _) = concat.to_instance_coords(e.start);
+            if inst < 2 {
+                // a flat window matches the other flat instance exactly
+                assert_eq!(e.value.to_bits(), 0.0f64.to_bits(), "at {}", e.start);
+                assert_eq!(concat.to_instance_coords(e.nn_start).0, 1 - inst);
+            } else {
+                // against flat windows only: exactly √m
+                assert_eq!(e.value.to_bits(), 2.0f64.to_bits(), "at {}", e.start);
+            }
+        }
+        let flat_vs_ramp = concat_of(&[vec![3.0; 12], (0..12).map(|i| i as f64).collect()]);
+        let ip = InstanceProfile::compute(&flat_vs_ramp, 9, Metric::ZNormEuclidean);
+        assert!(ip.entries().iter().all(|e| e.value == 3.0));
+    }
+
+    #[test]
+    fn correlations_rounding_below_minus_one_clamp_to_two_sqrt_m() {
+        // Reversed two-point windows are perfectly anti-correlated, and
+        // this pair's correlation rounds to just below −1.
+        let a = vec![-6.332141681413033, -3.3079412127067904];
+        let b: Vec<f64> = a.iter().rev().copied().collect();
+        let ip = InstanceProfile::compute(&concat_of(&[a, b]), 2, Metric::ZNormEuclidean);
+        for e in ip.entries() {
+            assert_eq!(e.value.to_bits(), 8.0f64.sqrt().to_bits());
+        }
+    }
+
+    #[test]
+    fn ties_go_to_the_earliest_window() {
+        // Integer data: squared distances are exact, so the pattern's two
+        // copies in instance 1 and its copy in instance 2 tie at zero.
+        let pat = [1.0, 3.0, 2.0];
+        let mut a = vec![0.0; 8];
+        a[2..5].copy_from_slice(&pat);
+        let mut b = vec![0.0; 10];
+        b[1..4].copy_from_slice(&pat);
+        b[6..9].copy_from_slice(&pat);
+        let mut c = vec![0.0; 6];
+        c[0..3].copy_from_slice(&pat);
+        let concat = concat_of(&[a, b, c]);
+        let ip = InstanceProfile::compute(&concat, 3, Metric::MeanSquared);
+        let at = |start: usize| *ip.entries().iter().find(|e| e.start == start).unwrap();
+        assert_eq!(at(2).value, 0.0);
+        assert_eq!(at(2).nn_start, 8 + 1);
+        // instance 2's copy ties with all three earlier ones
+        assert_eq!(at(18).value, 0.0);
+        assert_eq!(at(18).nn_start, 2);
     }
 }

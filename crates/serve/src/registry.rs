@@ -91,6 +91,7 @@ mod tests {
     use crate::persist::save_model;
     use ips_classify::svm::SvmParams;
     use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
+    use ips_obs::ObsError;
 
     fn model(name: &str, flip: f64) -> ServableModel {
         let shapelets = vec![
@@ -141,6 +142,22 @@ mod tests {
         std::fs::write(dir.join("c.json"), "{ truncated").unwrap();
         let err = ModelRegistry::load_dir(&dir).unwrap_err();
         assert!(matches!(err, IpsError::Record(_)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn deeply_nested_model_file_is_a_parse_error_not_an_abort() {
+        let dir = std::env::temp_dir().join(format!("ips_registry_deep_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        save_model(&model("a", 1.0), dir.join("a.json")).unwrap();
+        let deep =
+            r#"{"schema_version":1,"kind":"ips_model","svm":"#.to_string() + &"[".repeat(1_000_000);
+        std::fs::write(dir.join("deep.json"), deep).unwrap();
+        let err = ModelRegistry::load_dir(&dir).unwrap_err();
+        assert!(
+            matches!(&err, IpsError::Record(ObsError::Parse(m)) if m.contains("nested deeper")),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

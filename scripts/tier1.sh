@@ -27,12 +27,8 @@ if [[ "$QUICK" == 1 ]]; then
 else
     echo "==> cargo build --release"
     cargo build --release
-    echo "==> cargo test"
+    echo "==> cargo test (every workspace crate: see default-members)"
     cargo test -q
-    echo "==> chaos suite (fault injection + validation properties)"
-    cargo test -q -p ips-core --test fault_injection --test validate_props
-    echo "==> serving layer (persistence round-trip + server)"
-    cargo test -q -p ips-serve
     echo "==> panic audit"
     bash scripts/panic_audit.sh
 fi

@@ -3,8 +3,8 @@
 //! future-work extension).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ips_core::parallel::generate_candidates_parallel;
-use ips_core::{generate_candidates, IpsConfig};
+use ips_core::engine::ProfileCandidateSource;
+use ips_core::{generate_candidates, CandidateSource, ExecContext, IpsConfig, WorkerPool};
 use ips_tsdata::{DatasetSpec, SynthGenerator};
 
 fn train(classes: usize, len: usize, size: usize) -> ips_tsdata::Dataset {
@@ -29,12 +29,15 @@ fn bench_qn_scaling(c: &mut Criterion) {
 
 fn bench_parallel(c: &mut Criterion) {
     let data = train(4, 128, 48);
-    let cfg = IpsConfig::default().with_sampling(10, 5);
+    let source = ProfileCandidateSource::new(IpsConfig::default().with_sampling(10, 5));
     let mut g = c.benchmark_group("candidate_gen_parallel");
     g.sample_size(10);
     for &threads in &[1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| black_box(generate_candidates_parallel(&data, &cfg, t)))
+            b.iter(|| {
+                let mut ctx = ExecContext::new(WorkerPool::new(t));
+                black_box(source.generate(&data, &mut ctx).expect("generation"))
+            })
         });
     }
     g.finish();

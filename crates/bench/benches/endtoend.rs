@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ips_baselines::{
     discover_base_shapelets, discover_bspcover_shapelets, BaseConfig, BspCoverConfig,
 };
-use ips_core::{IpsConfig, IpsDiscovery};
+use ips_core::{Engine, IpsConfig};
 use ips_tsdata::registry;
 
 fn bench_endtoend(c: &mut Criterion) {
@@ -13,8 +13,8 @@ fn bench_endtoend(c: &mut Criterion) {
     let mut g = c.benchmark_group("discovery_italy");
     g.sample_size(10);
     g.bench_function("ips", |b| {
-        let d = IpsDiscovery::new(IpsConfig::default().with_sampling(10, 5));
-        b.iter(|| black_box(d.discover(&train).expect("discovery")))
+        let engine = Engine::from_config(&IpsConfig::default().with_sampling(10, 5));
+        b.iter(|| black_box(engine.run(&train).expect("discovery")))
     });
     g.bench_function("base", |b| {
         let cfg = BaseConfig::default();

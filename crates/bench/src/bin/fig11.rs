@@ -8,12 +8,10 @@
 //! cargo run -p ips-bench --release --bin fig11 [--full]
 //! ```
 
-use ips_baselines::BaseConfig;
+use ips_baselines::{BaseClassifier, BaseConfig, FastShapeletsClassifier, FastShapeletsConfig};
 use ips_bench::published::{TABLE6, TABLE6_METHODS};
-use ips_bench::{
-    ips_config, run_1nn_dtw, run_1nn_ed, run_base, run_bspcover, run_fs, run_ips_avg,
-    sweep_datasets,
-};
+use ips_bench::{ips_config, run_bspcover, run_ips_avg, sweep_datasets};
+use ips_classify::{OneNnDtw, OneNnEd};
 use ips_stats::{cd_diagram_text, friedman_test, holm_adjust, wilcoxon_signed_rank, CdDiagram};
 use ips_tsdata::registry;
 
@@ -41,11 +39,11 @@ fn main() {
         let (train, test) = registry::load(name).expect("registry dataset");
         rows.push(vec![
             run_ips_avg(&train, &test, ips_config(), 3).accuracy,
-            run_base(&train, &test, BaseConfig::default()).accuracy,
+            BaseClassifier::fit(&train, BaseConfig::default()).accuracy(&test),
             run_bspcover(&train, &test, 5).accuracy,
-            run_fs(&train, &test).accuracy,
-            run_1nn_ed(&train, &test).accuracy,
-            run_1nn_dtw(&train, &test).accuracy,
+            FastShapeletsClassifier::fit(&train, FastShapeletsConfig::default()).accuracy(&test),
+            OneNnEd::fit(&train).accuracy(&test),
+            OneNnDtw::fit(&train).accuracy(&test),
         ]);
     }
     analyze(&methods, &rows);

@@ -5,8 +5,8 @@
 //! cargo run -p ips-bench --release --bin fig9
 //! ```
 
-use ips_baselines::BaseConfig;
-use ips_bench::{ips_config, run_base, run_bspcover, run_ips};
+use ips_baselines::{BaseClassifier, BaseConfig};
+use ips_bench::{ips_config, run_bspcover, run_ips, timed};
 use ips_tsdata::registry;
 
 fn main() {
@@ -20,13 +20,17 @@ fn main() {
             "k", "BASE s", "BASE %", "IPS s", "IPS %", "BSP s", "BSP %"
         );
         for &k in &ks {
-            let base = run_base(
-                &train,
-                &test,
-                BaseConfig {
-                    k,
-                    ..Default::default()
+            let base = timed(
+                || {
+                    BaseClassifier::fit(
+                        &train,
+                        BaseConfig {
+                            k,
+                            ..Default::default()
+                        },
+                    )
                 },
+                |m| m.accuracy(&test),
             );
             let ips = run_ips(&train, &test, ips_config().with_k(k));
             let bsp = run_bspcover(&train, &test, k);

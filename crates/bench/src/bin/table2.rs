@@ -7,7 +7,7 @@
 
 use ips_baselines::{BaseClassifier, BaseConfig};
 use ips_bench::published::TABLE2;
-use ips_bench::{run_1nn_dtw, run_1nn_ed};
+use ips_classify::{OneNnDtw, OneNnEd};
 use ips_tsdata::registry;
 
 fn main() {
@@ -33,10 +33,13 @@ fn main() {
             );
             values.push(format!("{:.2}", 100.0 * model.accuracy(&test)));
         }
-        values.push(format!("{:.2}", 100.0 * run_1nn_ed(&train, &test).accuracy));
         values.push(format!(
             "{:.2}",
-            100.0 * run_1nn_dtw(&train, &test).accuracy
+            100.0 * OneNnEd::fit(&train).accuracy(&test)
+        ));
+        values.push(format!(
+            "{:.2}",
+            100.0 * OneNnDtw::fit(&train).accuracy(&test)
         ));
         println!("{}", ips_bench::row(&format!("{name} (measured)"), &values));
         let paper_fmt: Vec<String> = paper.iter().map(|v| format!("{v:.2}")).collect();

@@ -7,9 +7,9 @@
 //! cargo run -p ips-bench --release --bin table4 [--full]
 //! ```
 
-use ips_baselines::BaseConfig;
+use ips_baselines::{BaseClassifier, BaseConfig};
 use ips_bench::published::TABLE4;
-use ips_bench::{ips_config, run_base, run_bspcover, run_ips, speedup, sweep_datasets};
+use ips_bench::{ips_config, run_bspcover, run_ips, speedup, sweep_datasets, timed};
 use ips_tsdata::registry;
 
 fn main() {
@@ -35,7 +35,10 @@ fn main() {
     for name in &datasets {
         let (train, test) = registry::load(name).expect("registry dataset");
         let ips = run_ips(&train, &test, ips_config());
-        let base = run_base(&train, &test, BaseConfig::default());
+        let base = timed(
+            || BaseClassifier::fit(&train, BaseConfig::default()),
+            |m| m.accuracy(&test),
+        );
         let bsp = run_bspcover(&train, &test, 5);
         ratios_base.push(base.fit_seconds / ips.fit_seconds);
         ratios_bsp.push(bsp.fit_seconds / ips.fit_seconds);

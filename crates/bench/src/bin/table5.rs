@@ -16,13 +16,13 @@ use ips_baselines::{
     BspCoverConfig,
 };
 use ips_bench::ips_config;
-use ips_core::{CollectingObserver, IpsConfig, IpsDiscovery, RunReport, Stage};
+use ips_core::{CollectingObserver, Engine, IpsConfig, RunReport, Stage};
 use ips_tsdata::registry;
 
 /// Runs discovery under `cfg` and returns the engine's stage report.
 fn run_ips(train: &ips_tsdata::Dataset, cfg: IpsConfig) -> RunReport {
-    IpsDiscovery::new(cfg)
-        .discover(train)
+    Engine::from_config(&cfg)
+        .run(train)
         .expect("discovery succeeds")
         .report
 }

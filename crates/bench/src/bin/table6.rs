@@ -6,12 +6,13 @@
 //! cargo run -p ips-bench --release --bin table6 [--full]
 //! ```
 
-use ips_baselines::BaseConfig;
-use ips_bench::published::{TABLE6, TABLE6_METHODS};
-use ips_bench::{
-    ips_config, run_1nn_dtw, run_1nn_ed, run_base, run_bspcover, run_cote_ips, run_fs, run_ips_avg,
-    run_lts, run_rotf, run_sd, run_st, sweep_datasets,
+use ips_baselines::{
+    BaseClassifier, BaseConfig, FastShapeletsClassifier, FastShapeletsConfig, LtsClassifier,
+    LtsConfig, SdClassifier, SdConfig, StClassifier, StConfig,
 };
+use ips_bench::published::{TABLE6, TABLE6_METHODS};
+use ips_bench::{ips_config, run_bspcover, run_cote_ips, run_ips_avg, run_rotf, sweep_datasets};
+use ips_classify::{OneNnDtw, OneNnEd};
 use ips_tsdata::registry;
 
 fn main() {
@@ -46,15 +47,15 @@ fn main() {
         let (train, test) = registry::load(name).expect("registry dataset");
         let accs = [
             run_ips_avg(&train, &test, ips_config(), 3).accuracy,
-            run_base(&train, &test, BaseConfig::default()).accuracy,
+            BaseClassifier::fit(&train, BaseConfig::default()).accuracy(&test),
             run_bspcover(&train, &test, 5).accuracy,
-            run_st(&train, &test).accuracy,
-            run_fs(&train, &test).accuracy,
-            run_lts(&train, &test).accuracy,
-            run_sd(&train, &test).accuracy,
+            StClassifier::fit(&train, StConfig::default()).accuracy(&test),
+            FastShapeletsClassifier::fit(&train, FastShapeletsConfig::default()).accuracy(&test),
+            LtsClassifier::fit(&train, LtsConfig::default()).accuracy(&test),
+            SdClassifier::fit(&train, SdConfig::default()).accuracy(&test),
             run_rotf(&train, &test).accuracy,
-            run_1nn_ed(&train, &test).accuracy,
-            run_1nn_dtw(&train, &test).accuracy,
+            OneNnEd::fit(&train).accuracy(&test),
+            OneNnDtw::fit(&train).accuracy(&test),
             run_cote_ips(&train, &test, ips_config()).accuracy,
         ];
         print!("{name:<28}");

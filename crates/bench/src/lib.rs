@@ -9,12 +9,8 @@ pub mod published;
 
 use std::time::Instant;
 
-use ips_baselines::{
-    BaseClassifier, BaseConfig, BspCoverClassifier, BspCoverConfig, FastShapeletsClassifier,
-    FastShapeletsConfig, LtsClassifier, LtsConfig, SdClassifier, SdConfig, StClassifier, StConfig,
-};
+use ips_baselines::{BspCoverClassifier, BspCoverConfig};
 use ips_classify::forest::{ForestParams, RotationForest};
-use ips_classify::{OneNnDtw, OneNnEd};
 use ips_core::ensemble::{CoteIpsEnsemble, EnsembleConfig};
 use ips_core::{IpsClassifier, IpsConfig};
 use ips_tsdata::Dataset;
@@ -26,6 +22,19 @@ pub struct RunResult {
     pub accuracy: f64,
     /// Seconds spent fitting (discovery + classifier training).
     pub fit_seconds: f64,
+}
+
+/// Times `fit`, then scores the fitted model with `score` (untimed) — the
+/// skeleton every method runner shares. For example
+/// `timed(|| OneNnEd::fit(&train), |m| m.accuracy(&test))`.
+pub fn timed<M>(fit: impl FnOnce() -> M, score: impl FnOnce(&M) -> f64) -> RunResult {
+    let t = Instant::now();
+    let model = fit();
+    let fit_seconds = t.elapsed().as_secs_f64();
+    RunResult {
+        accuracy: score(&model),
+        fit_seconds,
+    }
 }
 
 /// The harness-wide IPS configuration: the paper's grid values
@@ -57,24 +66,10 @@ pub fn run_ips_avg(train: &Dataset, test: &Dataset, cfg: IpsConfig, runs: usize)
 
 /// Fits and scores IPS.
 pub fn run_ips(train: &Dataset, test: &Dataset, cfg: IpsConfig) -> RunResult {
-    let t = Instant::now();
-    let model = IpsClassifier::fit(train, cfg).expect("IPS fit");
-    let fit_seconds = t.elapsed().as_secs_f64();
-    RunResult {
-        accuracy: model.accuracy(test),
-        fit_seconds,
-    }
-}
-
-/// Fits and scores the MP BASE method.
-pub fn run_base(train: &Dataset, test: &Dataset, cfg: BaseConfig) -> RunResult {
-    let t = Instant::now();
-    let model = BaseClassifier::fit(train, cfg);
-    let fit_seconds = t.elapsed().as_secs_f64();
-    RunResult {
-        accuracy: model.accuracy(test),
-        fit_seconds,
-    }
+    timed(
+        || IpsClassifier::fit(train, cfg).expect("IPS fit"),
+        |m| m.accuracy(test),
+    )
 }
 
 /// Fits and scores the BSPCOVER-style comparator, with its candidate cap
@@ -84,116 +79,31 @@ pub fn run_bspcover(train: &Dataset, test: &Dataset, k: usize) -> RunResult {
         k,
         ..Default::default()
     };
-    let t = Instant::now();
-    let model = BspCoverClassifier::fit(train, cfg);
-    let fit_seconds = t.elapsed().as_secs_f64();
-    RunResult {
-        accuracy: model.accuracy(test),
-        fit_seconds,
-    }
-}
-
-/// Fits and scores the Fast-Shapelets-style comparator.
-pub fn run_fs(train: &Dataset, test: &Dataset) -> RunResult {
-    let t = Instant::now();
-    let model = FastShapeletsClassifier::fit(train, FastShapeletsConfig::default());
-    let fit_seconds = t.elapsed().as_secs_f64();
-    RunResult {
-        accuracy: model.accuracy(test),
-        fit_seconds,
-    }
-}
-
-/// Fits and scores the ST-style comparator.
-pub fn run_st(train: &Dataset, test: &Dataset) -> RunResult {
-    let t = Instant::now();
-    let model = StClassifier::fit(train, StConfig::default());
-    let fit_seconds = t.elapsed().as_secs_f64();
-    RunResult {
-        accuracy: model.accuracy(test),
-        fit_seconds,
-    }
-}
-
-/// Fits and scores the SD-style comparator.
-pub fn run_sd(train: &Dataset, test: &Dataset) -> RunResult {
-    let t = Instant::now();
-    let model = SdClassifier::fit(train, SdConfig::default());
-    let fit_seconds = t.elapsed().as_secs_f64();
-    RunResult {
-        accuracy: model.accuracy(test),
-        fit_seconds,
-    }
-}
-
-/// Fits and scores the LTS-style comparator.
-pub fn run_lts(train: &Dataset, test: &Dataset) -> RunResult {
-    let t = Instant::now();
-    let model = LtsClassifier::fit(train, LtsConfig::default());
-    let fit_seconds = t.elapsed().as_secs_f64();
-    RunResult {
-        accuracy: model.accuracy(test),
-        fit_seconds,
-    }
+    timed(|| BspCoverClassifier::fit(train, cfg), |m| m.accuracy(test))
 }
 
 /// Fits and scores a Rotation Forest over the raw series values (the
 /// Table VI `RotF` comparator).
 pub fn run_rotf(train: &Dataset, test: &Dataset) -> RunResult {
-    let t = Instant::now();
-    let x: Vec<Vec<f64>> = train
-        .all_series()
-        .iter()
-        .map(|s| s.values().to_vec())
-        .collect();
-    let f = RotationForest::fit(&x, train.labels(), ForestParams::default());
-    let fit_seconds = t.elapsed().as_secs_f64();
-    let preds: Vec<u32> = test
-        .all_series()
-        .iter()
-        .map(|s| f.predict(s.values()))
-        .collect();
-    RunResult {
-        accuracy: ips_classify::eval::accuracy(&preds, test.labels()),
-        fit_seconds,
-    }
+    let values = |d: &Dataset| -> Vec<Vec<f64>> {
+        d.all_series().iter().map(|s| s.values().to_vec()).collect()
+    };
+    timed(
+        || RotationForest::fit(&values(train), train.labels(), ForestParams::default()),
+        |f| ips_classify::eval::accuracy(&f.predict_all(&values(test)), test.labels()),
+    )
 }
 
 /// Fits and scores the COTE-IPS-style ensemble.
 pub fn run_cote_ips(train: &Dataset, test: &Dataset, ips: IpsConfig) -> RunResult {
-    let t = Instant::now();
     let cfg = EnsembleConfig {
         ips,
         ..Default::default()
     };
-    let e = CoteIpsEnsemble::fit(train, cfg).expect("ensemble fit");
-    let fit_seconds = t.elapsed().as_secs_f64();
-    RunResult {
-        accuracy: e.accuracy(test),
-        fit_seconds,
-    }
-}
-
-/// Fits and scores 1NN-ED.
-pub fn run_1nn_ed(train: &Dataset, test: &Dataset) -> RunResult {
-    let t = Instant::now();
-    let model = OneNnEd::fit(train);
-    let fit_seconds = t.elapsed().as_secs_f64();
-    RunResult {
-        accuracy: model.accuracy(test),
-        fit_seconds,
-    }
-}
-
-/// Fits and scores 1NN-DTW with a learned band.
-pub fn run_1nn_dtw(train: &Dataset, test: &Dataset) -> RunResult {
-    let t = Instant::now();
-    let model = OneNnDtw::fit(train);
-    let fit_seconds = t.elapsed().as_secs_f64();
-    RunResult {
-        accuracy: model.accuracy(test),
-        fit_seconds,
-    }
+    timed(
+        || CoteIpsEnsemble::fit(train, cfg).expect("ensemble fit"),
+        |e| e.accuracy(test),
+    )
 }
 
 /// The small-dataset subset used by default in the long sweeps (Table IV /
@@ -258,7 +168,8 @@ mod tests {
     fn runners_produce_sane_results_on_a_tiny_dataset() {
         let (train, test) = registry::load("ItalyPowerDemand").unwrap();
         let cfg = IpsConfig::default().with_sampling(4, 3);
-        for r in [run_ips(&train, &test, cfg), run_1nn_ed(&train, &test)] {
+        let nn = timed(|| ips_classify::OneNnEd::fit(&train), |m| m.accuracy(&test));
+        for r in [run_ips(&train, &test, cfg), nn] {
             assert!((0.0..=1.0).contains(&r.accuracy));
             assert!(r.fit_seconds >= 0.0);
         }

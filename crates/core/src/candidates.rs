@@ -164,7 +164,7 @@ impl CandidatePool {
 ///
 /// Sampling is deterministic in `config.seed`, and the RNG stream is
 /// derived **per (class, sample)** — see [`generate_sample`] — so the
-/// scheduler-parallel path ([`crate::parallel::generate_candidates_parallel`])
+/// scheduler-parallel path ([`crate::engine::ProfileCandidateSource`])
 /// produces bit-identical pools at every thread count and chunk size.
 /// Classes whose instances are shorter than the smallest candidate length
 /// contribute nothing (and the caller's pipeline will surface that as an

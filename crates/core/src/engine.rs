@@ -1,10 +1,8 @@
 //! The staged discovery engine — a trait-based decomposition of the
 //! pipeline into its three stages plus a shared execution context.
 //!
-//! The monolithic `discover()` of earlier revisions interleaved timing,
-//! counting, and the actual algorithms; baselines (`ips-baselines`)
-//! re-implemented the same generate → prune → select skeleton with
-//! bespoke loops and no telemetry. This module factors the skeleton out:
+//! IPS and the engine-hosted baselines (`ips-baselines`) share one
+//! generate → prune → select skeleton:
 //!
 //! - [`CandidateSource`] — stage 1, Algorithm 1 (or a baseline's
 //!   enumeration strategy): produce the candidate pool.
@@ -52,11 +50,11 @@ use ips_filter::Dabf;
 use ips_obs::{MetricsRegistry, MetricsSnapshot, RunRecord};
 use ips_tsdata::Dataset;
 
-use crate::candidates::CandidatePool;
+use crate::candidates::{generate_sample, CandidatePool};
 use crate::config::IpsConfig;
 use crate::error::IpsError;
 use crate::fault::FaultPlan;
-use crate::pipeline::{DiscoveryResult, PipelineError, StageTimings};
+use crate::pipeline::DiscoveryResult;
 use crate::pruning::{
     apply_survivors, build_dabf, dabf_survivors_range, naive_filters, naive_survivors_range,
 };
@@ -255,14 +253,23 @@ impl RunReport {
             .fold(StageCounters::default(), |acc, r| acc.merge(r.counters))
     }
 
-    /// The legacy fixed-field timing view (Table V's breakdown).
-    pub fn timings(&self) -> StageTimings {
-        StageTimings {
-            candidate_gen: self.elapsed(Stage::CandidateGen),
-            dabf_build: self.elapsed(Stage::DabfBuild),
-            pruning: self.elapsed(Stage::Pruning),
-            top_k: self.elapsed(Stage::TopK),
-        }
+    /// Candidates produced by Algorithm 1: the candidate-generation
+    /// stage's output (for a sampled source, the sampled pool), before
+    /// any `max_candidates` budget cut. Zero when the stage did not run.
+    pub fn candidates_generated(&self) -> usize {
+        self.stage(Stage::CandidateGen)
+            .map_or(0, |r| r.counters.candidates_out)
+    }
+
+    /// Candidates removed by pruning (Algorithm 3): the pruning stage's
+    /// input minus its output. Candidates cut by a `max_candidates`
+    /// budget never enter the stage, so they are not counted here.
+    pub fn candidates_pruned(&self) -> usize {
+        self.stage(Stage::Pruning).map_or(0, |r| {
+            r.counters
+                .candidates_in
+                .saturating_sub(r.counters.candidates_out)
+        })
     }
 
     /// Renders a fixed-width per-stage table (used by the bench bins).
@@ -664,8 +671,6 @@ pub trait CandidateSource: Send + Sync {
 
 /// Outcome of the pruning stage.
 pub struct PruneOutcome {
-    /// Candidates removed.
-    pub pruned: usize,
     /// The filter, when one was built (needed by DT selection).
     pub dabf: Option<Dabf>,
     /// Time spent building the filter (reported as [`Stage::DabfBuild`];
@@ -801,7 +806,7 @@ impl Engine {
     }
 
     /// Runs the staged pipeline.
-    pub fn run(&self, train: &Dataset) -> Result<DiscoveryResult, PipelineError> {
+    pub fn run(&self, train: &Dataset) -> Result<DiscoveryResult, IpsError> {
         let mut ctx = ExecContext::new(self.workers);
         self.run_with_ctx(train, &mut ctx)
     }
@@ -812,7 +817,7 @@ impl Engine {
         &self,
         train: &Dataset,
         observer: &mut dyn StageObserver,
-    ) -> Result<DiscoveryResult, PipelineError> {
+    ) -> Result<DiscoveryResult, IpsError> {
         let mut ctx = ExecContext::new(self.workers).with_observer(observer);
         self.run_with_ctx(train, &mut ctx)
     }
@@ -832,7 +837,7 @@ impl Engine {
         &self,
         train: &Dataset,
         ctx: &mut ExecContext,
-    ) -> Result<DiscoveryResult, PipelineError> {
+    ) -> Result<DiscoveryResult, IpsError> {
         if let Some(config) = &self.config {
             config.validate()?;
         }
@@ -869,7 +874,7 @@ impl Engine {
             },
         );
         if pool.is_empty() {
-            return Err(PipelineError::NoCandidates);
+            return Err(IpsError::NoCandidates);
         }
         // `max_candidates` applies to the pool the source *emitted* — for
         // a sampled source that is the already-subsampled pool, so the
@@ -894,7 +899,6 @@ impl Engine {
         let outcome = if ctx.deadline_exceeded() {
             degraded = true;
             PruneOutcome {
-                pruned: 0,
                 dabf: None,
                 dabf_build: Duration::ZERO,
                 probes: 0,
@@ -961,18 +965,14 @@ impl Engine {
                     detail: "budget tripped before any shapelet was selected".to_string(),
                 }
             } else {
-                PipelineError::NoCandidates
+                IpsError::NoCandidates
             });
         }
 
-        let report = std::mem::take(&mut ctx.report);
         Ok(DiscoveryResult {
             shapelets: selection.shapelets,
-            timings: report.timings(),
-            candidates_generated: generated,
-            candidates_pruned: outcome.pruned,
             degraded,
-            report,
+            report: std::mem::take(&mut ctx.report),
         })
     }
 }
@@ -996,10 +996,14 @@ fn guard<T>(stage: Stage, f: impl FnOnce() -> Result<T, IpsError>) -> Result<T, 
 // ---------------------------------------------------------------------------
 
 /// Algorithm 1 as a [`CandidateSource`]: sample-granular instance-profile
-/// sampling on the work-item scheduler. Bit-identical at any worker count
-/// and chunk size because each *(class, sample)* pair derives its own RNG
-/// stream from `(seed, class, sample)` and items merge in class-major,
-/// sample order.
+/// sampling on the work-item scheduler — the "distributed IPS" direction
+/// named as future work in the paper's conclusion. The unit of work is
+/// one *(class, sample)* pair, so generation fans out across the whole
+/// [`WorkerPool`] even on a 2-class dataset. Bit-identical to the
+/// sequential [`crate::candidates::generate_candidates`] at any worker
+/// count and chunk size: [`generate_sample`] derives each pair's RNG
+/// stream from `(seed, class, sample)`, and items merge in class-major,
+/// sample order ([`TaskPartition::run`] preserves item order).
 pub struct ProfileCandidateSource {
     config: IpsConfig,
 }
@@ -1013,24 +1017,39 @@ impl ProfileCandidateSource {
 
 impl CandidateSource for ProfileCandidateSource {
     fn generate(&self, train: &Dataset, ctx: &mut ExecContext) -> Result<CandidatePool, IpsError> {
-        let (pool, items) = crate::parallel::generate_with_pool(train, &self.config, ctx.workers());
-        ctx.note_sched_items(Stage::CandidateGen, items);
+        let classes = train.classes();
+        let units = vec![self.config.num_samples.max(1); classes.len()];
+        let partition = TaskPartition::new(&units, self.config.chunk_size);
+        ctx.note_sched_items(Stage::CandidateGen, partition.len());
+        let per_item = partition.run(&ctx.workers(), |item| {
+            let class = classes[item.class_idx];
+            let mut out = Vec::new();
+            for sample_idx in item.start..item.end {
+                out.extend(generate_sample(train, class, sample_idx, &self.config));
+            }
+            out
+        });
+        let mut pool = CandidatePool::default();
+        for c in per_item.into_iter().flatten() {
+            pool.push(c);
+        }
         Ok(pool)
     }
 }
 
 /// Partitions each class's candidate list into probe ranges, evaluates
 /// `survivors` over every range on the scheduler, and applies the
-/// concatenated flags per class. Shared skeleton of [`DabfPruner`] and
-/// [`NaivePruner`]: each flag is a pure function of the immutable
-/// filter(s) and one candidate, and probe counts sum, so any chunking
-/// reproduces the sequential pass bit-for-bit.
+/// concatenated flags per class; returns the filter probes issued.
+/// Shared skeleton of [`DabfPruner`] and [`NaivePruner`]: each flag is a
+/// pure function of the immutable filter(s) and one candidate, and probe
+/// counts sum, so any chunking reproduces the sequential pass
+/// bit-for-bit.
 fn prune_scheduled(
     pool: &mut CandidatePool,
     ctx: &mut ExecContext,
     chunk: crate::schedule::ChunkSize,
     survivors: impl Fn(&CandidatePool, u32, usize, usize) -> (Vec<bool>, usize) + Sync,
-) -> (usize, usize) {
+) -> usize {
     let classes = pool.classes();
     let units: Vec<usize> = classes.iter().map(|&c| pool.of_class(c).len()).collect();
     let partition = TaskPartition::new(&units, chunk);
@@ -1042,7 +1061,6 @@ fn prune_scheduled(
             survivors(pool, classes[item.class_idx], item.start, item.end)
         })
     };
-    let mut pruned = 0;
     let mut probes = 0;
     for (&class, chunks) in classes.iter().zip(partition.group_by_class(per_item)) {
         let mut flags = Vec::new();
@@ -1050,9 +1068,9 @@ fn prune_scheduled(
             flags.extend(chunk_flags);
             probes += chunk_probes;
         }
-        pruned += apply_survivors(pool, class, &flags);
+        apply_survivors(pool, class, &flags);
     }
-    (pruned, probes)
+    probes
 }
 
 /// Algorithms 2 & 3 as a [`Pruner`]: build the DABF, then prune on the
@@ -1079,11 +1097,10 @@ impl Pruner for DabfPruner {
         let t = Instant::now();
         let dabf = build_dabf(pool, &self.config);
         let dabf_build = t.elapsed();
-        let (pruned, probes) = prune_scheduled(pool, ctx, self.config.chunk_size, |p, c, s, e| {
+        let probes = prune_scheduled(pool, ctx, self.config.chunk_size, |p, c, s, e| {
             dabf_survivors_range(p, &dabf, c, s, e)
         });
         Ok(PruneOutcome {
-            pruned,
             dabf: Some(dabf),
             dabf_build,
             probes,
@@ -1112,11 +1129,10 @@ impl Pruner for NaivePruner {
         ctx: &mut ExecContext,
     ) -> Result<PruneOutcome, IpsError> {
         let filters = naive_filters(pool, &self.config);
-        let (pruned, probes) = prune_scheduled(pool, ctx, self.config.chunk_size, |p, c, s, e| {
+        let probes = prune_scheduled(pool, ctx, self.config.chunk_size, |p, c, s, e| {
             naive_survivors_range(p, &filters, c, s, e)
         });
         Ok(PruneOutcome {
-            pruned,
             dabf: None,
             dabf_build: Duration::ZERO,
             probes,
@@ -1135,7 +1151,6 @@ impl Pruner for NoopPruner {
         _ctx: &mut ExecContext,
     ) -> Result<PruneOutcome, IpsError> {
         Ok(PruneOutcome {
-            pruned: 0,
             dabf: None,
             dabf_build: Duration::ZERO,
             probes: 0,
@@ -1593,5 +1608,58 @@ mod tests {
             obs.reports.iter().map(|r| r.stage).collect::<Vec<_>>(),
             vec![Stage::CandidateGen, Stage::TopK]
         );
+    }
+
+    fn profile_train(classes: usize) -> Dataset {
+        use ips_tsdata::{DatasetSpec, SynthGenerator};
+        let spec = DatasetSpec::new("ParT", classes, 48, 4 * classes, 8).with_noise(0.2);
+        SynthGenerator::new(spec).generate().unwrap().0
+    }
+
+    fn profile_cfg() -> IpsConfig {
+        IpsConfig::default().with_sampling(4, 3).with_seed(21)
+    }
+
+    /// Drives [`ProfileCandidateSource`] through a fresh context on
+    /// `threads` workers.
+    fn generate_on(train: &Dataset, cfg: &IpsConfig, threads: usize) -> CandidatePool {
+        let mut ctx = ExecContext::new(WorkerPool::new(threads));
+        ProfileCandidateSource::new(cfg.clone())
+            .generate(train, &mut ctx)
+            .unwrap()
+    }
+
+    #[test]
+    fn parallel_matches_sequential_exactly() {
+        use crate::candidates::generate_candidates;
+        use crate::schedule::ChunkSize;
+        let train = profile_train(4);
+        let base = profile_cfg();
+        let seq = generate_candidates(&train, &base);
+        for threads in [1, 2, 4, 0] {
+            for chunk in [ChunkSize::Auto, ChunkSize::Fixed(1), ChunkSize::Fixed(3)] {
+                let cfg = base.clone().with_chunk_size(chunk);
+                let par = generate_on(&train, &cfg, threads);
+                assert_eq!(par.len(), seq.len(), "threads={threads} chunk={chunk:?}");
+                let a: Vec<_> = seq.iter().map(|c| (&c.values, c.class)).collect();
+                let b: Vec<_> = par.iter().map(|c| (&c.values, c.class)).collect();
+                assert_eq!(a, b, "threads={threads} chunk={chunk:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn more_threads_than_classes_is_fine() {
+        let train = profile_train(2);
+        let pool = generate_on(&train, &profile_cfg(), 16);
+        assert!(!pool.is_empty());
+        assert_eq!(pool.classes().len(), 2);
+    }
+
+    #[test]
+    fn single_threaded_path_works() {
+        let train = profile_train(3);
+        let pool = generate_on(&train, &profile_cfg(), 1);
+        assert_eq!(pool.classes().len(), 3);
     }
 }

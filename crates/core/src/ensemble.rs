@@ -19,7 +19,7 @@ use ips_tsdata::{Dataset, TimeSeries};
 use crate::config::IpsConfig;
 use crate::engine::{RunReport, WorkerPool};
 use crate::error::IpsError;
-use crate::pipeline::{IpsClassifier, PipelineError};
+use crate::pipeline::IpsClassifier;
 use crate::sampling::member_seed;
 use crate::schedule::TaskPartition;
 
@@ -83,10 +83,10 @@ impl CoteIpsEnsemble {
     /// Fits every member on the full training set and learns vote weights
     /// by stratified cross-validation (weights are squared CV accuracies,
     /// emphasizing strong members the way COTE's proportional scheme does).
-    pub fn fit(train: &Dataset, config: EnsembleConfig) -> Result<Self, PipelineError> {
+    pub fn fit(train: &Dataset, config: EnsembleConfig) -> Result<Self, IpsError> {
         let classes = train.classes();
         if classes.len() < 2 {
-            return Err(PipelineError::InvalidTrainingSet(
+            return Err(IpsError::InvalidTrainingSet(
                 "need at least two classes".into(),
             ));
         }
@@ -226,7 +226,7 @@ pub struct SampledIpsEnsemble {
 impl SampledIpsEnsemble {
     /// Fits the ensemble. Fails with [`IpsError::InvalidConfig`] when
     /// `members == 0` or `ips.candidate_sampling` is unset.
-    pub fn fit(train: &Dataset, config: &SampledEnsembleConfig) -> Result<Self, PipelineError> {
+    pub fn fit(train: &Dataset, config: &SampledEnsembleConfig) -> Result<Self, IpsError> {
         if config.members == 0 {
             return Err(IpsError::InvalidConfig {
                 field: "members",
@@ -244,7 +244,7 @@ impl SampledIpsEnsemble {
         config.ips.validate()?;
         let classes = train.classes();
         if classes.len() < 2 {
-            return Err(PipelineError::InvalidTrainingSet(
+            return Err(IpsError::InvalidTrainingSet(
                 "need at least two classes".into(),
             ));
         }
@@ -315,7 +315,7 @@ impl SampledIpsEnsemble {
         train: &Dataset,
         config: &SampledEnsembleConfig,
         metrics: &MetricsRegistry,
-    ) -> Result<Self, PipelineError> {
+    ) -> Result<Self, IpsError> {
         let ensemble = Self::fit(train, config)?;
         metrics.incr("ensemble_members", ensemble.members.len() as u64);
         for (m, member) in ensemble.members.iter().enumerate() {

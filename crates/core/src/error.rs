@@ -1,7 +1,7 @@
 //! The unified error taxonomy of the IPS workspace.
 //!
 //! Every fallible path in discovery and classification surfaces an
-//! [`IpsError`]: the old `PipelineError` variants are absorbed directly,
+//! [`IpsError`]: the pipeline's own failure modes are variants here,
 //! and the two foreign enums the pipeline can encounter —
 //! [`ips_tsdata::Error`] from data loading/validation and
 //! [`ips_obs::ObsError`] from record parsing — are wrapped with `From`

@@ -38,7 +38,6 @@ pub mod error;
 pub mod explain;
 pub mod fault;
 pub mod multivariate;
-pub mod parallel;
 pub mod pipeline;
 pub mod pruning;
 pub mod sampling;
@@ -57,7 +56,7 @@ pub use error::IpsError;
 pub use explain::{explain_prediction, explanation_text, Explanation, MatchExplanation};
 pub use fault::{FaultPlan, FaultStage};
 pub use multivariate::{MultivariateDataset, MultivariateIps};
-pub use pipeline::{DiscoveryResult, DiscoveryStats, IpsClassifier, IpsDiscovery, StageTimings};
+pub use pipeline::{DiscoveryResult, DiscoveryStats, IpsClassifier};
 pub use pruning::{build_dabf, prune_naive, prune_with_dabf};
 pub use sampling::{member_seed, sample_pool, SampledCandidateSource};
 pub use schedule::{ChunkSize, TaskPartition, WorkItem};

@@ -8,8 +8,8 @@ use ips_classify::{LinearSvm, ShapeletTransform};
 use ips_tsdata::{Dataset, TimeSeries};
 
 use crate::config::IpsConfig;
-use crate::engine::{RunReport, WorkerPool};
-use crate::pipeline::{IpsDiscovery, PipelineError};
+use crate::engine::{Engine, RunReport, WorkerPool};
+use crate::error::IpsError;
 
 /// A multivariate dataset: one aligned [`Dataset`] per dimension, sharing
 /// labels.
@@ -78,17 +78,17 @@ impl MultivariateIps {
     /// config seed so dimensions explore independent samples, which also
     /// makes per-dimension discovery embarrassingly parallel: dimensions
     /// run on the engine's worker pool, results merge in dimension order.
-    pub fn fit(train: &MultivariateDataset, config: IpsConfig) -> Result<Self, PipelineError> {
+    pub fn fit(train: &MultivariateDataset, config: IpsConfig) -> Result<Self, IpsError> {
         // Dimensions share the pool with each dimension's own stages, so
         // discovery itself runs sequentially within a dimension task.
-        type DimResult = Result<(ShapeletTransform, Vec<Vec<f64>>, RunReport), PipelineError>;
+        type DimResult = Result<(ShapeletTransform, Vec<Vec<f64>>, RunReport), IpsError>;
         let per_dim = WorkerPool::new(config.num_threads).run(train.num_dims(), |d| -> DimResult {
             let cfg = config
                 .clone()
                 .with_seed(config.seed.wrapping_add(d as u64 * 7919))
                 .with_threads(1);
             let znorm = cfg.znorm_transform;
-            let result = IpsDiscovery::new(cfg).discover(train.dim(d))?;
+            let result = Engine::from_config(&cfg).run(train.dim(d))?;
             let t = ShapeletTransform::new(result.shapelets, znorm);
             let features = t.transform(train.dim(d));
             Ok((t, features, result.report))

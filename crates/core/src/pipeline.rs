@@ -1,95 +1,28 @@
 //! The end-to-end IPS pipeline: discovery (Algorithms 1–4) plus the
 //! shapelet-transform + linear-SVM classifier of Section III-E.
 
-use std::time::Duration;
-
 use ips_classify::svm::SvmParams;
 use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
 use ips_obs::{MetricsSnapshot, RunRecord};
 use ips_tsdata::{Dataset, TimeSeries};
 
 use crate::config::IpsConfig;
-use crate::engine::{Engine, RunReport, StageObserver};
+use crate::engine::{Engine, RunReport};
 use crate::error::IpsError;
 
-/// The historical name of the pipeline's error type, kept as an alias for
-/// existing callers; all failure modes now live in the workspace-wide
-/// [`IpsError`] taxonomy (see `crate::error`).
-pub type PipelineError = IpsError;
-
-/// Wall-clock timings of the three pipeline stages — the breakdown
-/// reported in Table V.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// Algorithm 1 (candidate generation).
-    pub candidate_gen: Duration,
-    /// Algorithm 2 (DABF construction; zero when DABF is disabled).
-    pub dabf_build: Duration,
-    /// Algorithm 3 (pruning, with or without DABF).
-    pub pruning: Duration,
-    /// Algorithm 4 (utility scoring and selection).
-    pub top_k: Duration,
-}
-
-impl StageTimings {
-    /// Total discovery time.
-    pub fn total(&self) -> Duration {
-        self.candidate_gen + self.dabf_build + self.pruning + self.top_k
-    }
-}
-
-/// Outcome of shapelet discovery.
+/// Outcome of shapelet discovery ([`Engine::run`]).
 #[derive(Debug, Clone)]
 pub struct DiscoveryResult {
     /// The selected shapelets (`k` per class, best-first within a class).
     pub shapelets: Vec<Shapelet>,
-    /// Per-stage wall-clock timings (the fixed-field view of `report`,
-    /// kept for callers that only need Table V's breakdown).
-    pub timings: StageTimings,
-    /// Candidates produced by Algorithm 1.
-    pub candidates_generated: usize,
-    /// Candidates removed by pruning.
-    pub candidates_pruned: usize,
     /// True when a [`crate::config::DiscoveryBudget`] limit tripped and
     /// the run returned its best-so-far shapelets instead of the full
     /// computation. Always `false` on unbudgeted runs.
     pub degraded: bool,
-    /// Full per-stage telemetry (timings plus work counters).
+    /// Full per-stage telemetry: timings, work counters, and the
+    /// candidate counts ([`RunReport::candidates_generated`],
+    /// [`RunReport::candidates_pruned`]).
     pub report: RunReport,
-}
-
-/// Shapelet discovery (Algorithms 1–4) without the classification head.
-#[derive(Debug, Clone)]
-pub struct IpsDiscovery {
-    config: IpsConfig,
-}
-
-impl IpsDiscovery {
-    /// Creates a discovery runner.
-    pub fn new(config: IpsConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &IpsConfig {
-        &self.config
-    }
-
-    /// Runs the full discovery pipeline on a training set — a thin
-    /// composition over the staged [`Engine`] (see [`crate::engine`]).
-    pub fn discover(&self, train: &Dataset) -> Result<DiscoveryResult, PipelineError> {
-        Engine::from_config(&self.config).run(train)
-    }
-
-    /// [`discover`](Self::discover) with a [`StageObserver`] that sees
-    /// each stage report (timing + counters) as the stage completes.
-    pub fn discover_with_observer(
-        &self,
-        train: &Dataset,
-        observer: &mut dyn StageObserver,
-    ) -> Result<DiscoveryResult, PipelineError> {
-        Engine::from_config(&self.config).run_with_observer(train, observer)
-    }
 }
 
 /// Discovery metadata carried by a fitted classifier: everything from
@@ -97,12 +30,6 @@ impl IpsDiscovery {
 /// transform).
 #[derive(Debug, Clone)]
 pub struct DiscoveryStats {
-    /// Per-stage wall-clock timings.
-    pub timings: StageTimings,
-    /// Candidates produced by Algorithm 1.
-    pub candidates_generated: usize,
-    /// Candidates removed by pruning.
-    pub candidates_pruned: usize,
     /// Whether the discovery run degraded under its budget (see
     /// [`DiscoveryResult::degraded`]); stamped into serialized records.
     pub degraded: bool,
@@ -138,13 +65,13 @@ pub struct IpsClassifier {
 impl IpsClassifier {
     /// Discovers shapelets on `train` and fits the SVM over the
     /// transformed features.
-    pub fn fit(train: &Dataset, config: IpsConfig) -> Result<Self, PipelineError> {
+    pub fn fit(train: &Dataset, config: IpsConfig) -> Result<Self, IpsError> {
         // Fail fast with typed errors before any stage spends work: the
         // config knobs, then the data itself (NaN/Inf, empty series).
         config.validate()?;
         train.validate()?;
         if train.num_classes() < 2 {
-            return Err(PipelineError::InvalidTrainingSet(
+            return Err(IpsError::InvalidTrainingSet(
                 "need at least two classes".into(),
             ));
         }
@@ -186,16 +113,13 @@ impl IpsClassifier {
         };
         metrics.incr(
             "discovery.candidates_generated",
-            result.candidates_generated as u64,
+            result.report.candidates_generated() as u64,
         );
         metrics.incr(
             "discovery.candidates_pruned",
-            result.candidates_pruned as u64,
+            result.report.candidates_pruned() as u64,
         );
         let discovery = DiscoveryStats {
-            timings: result.timings,
-            candidates_generated: result.candidates_generated,
-            candidates_pruned: result.candidates_pruned,
             degraded: result.degraded,
             report: result.report,
             metrics: metrics.snapshot(),
@@ -227,7 +151,7 @@ impl IpsClassifier {
         self.transform.shapelets()
     }
 
-    /// Discovery metadata (timings, counters, candidate counts).
+    /// Discovery metadata (the run report, fit metrics, degradation flag).
     pub fn discovery(&self) -> &DiscoveryStats {
         &self.discovery
     }
@@ -246,7 +170,9 @@ impl IpsClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Stage;
     use ips_tsdata::{registry, DatasetSpec, SynthGenerator};
+    use std::time::Duration;
 
     fn fast_cfg() -> IpsConfig {
         IpsConfig::default().with_sampling(5, 3).with_k(3)
@@ -256,11 +182,11 @@ mod tests {
     fn discovery_produces_k_per_class_and_timings() {
         let spec = DatasetSpec::new("PipeT", 2, 64, 12, 24).with_noise(0.15);
         let (train, _) = SynthGenerator::new(spec).generate().unwrap();
-        let res = IpsDiscovery::new(fast_cfg()).discover(&train).unwrap();
+        let res = Engine::from_config(&fast_cfg()).run(&train).unwrap();
         assert_eq!(res.shapelets.len(), 6);
-        assert!(res.candidates_generated > 0);
-        assert!(res.timings.total() > Duration::ZERO);
-        assert!(res.timings.candidate_gen > Duration::ZERO);
+        assert!(res.report.candidates_generated() > 0);
+        assert!(res.report.total() > Duration::ZERO);
+        assert!(res.report.elapsed(Stage::CandidateGen) > Duration::ZERO);
     }
 
     #[test]
@@ -301,7 +227,7 @@ mod tests {
         }
         assert_eq!(
             m.counters["discovery.candidates_generated"],
-            stats.candidates_generated as u64
+            stats.report.candidates_generated() as u64
         );
         // The cache totals cover discovery plus the shapelet transform, so
         // they dominate the discovery-stage counters.
@@ -326,13 +252,13 @@ mod tests {
             let mut cfg = fast_cfg();
             cfg.use_dabf = use_dabf;
             cfg.use_dt_cr = use_dt_cr;
-            let res = IpsDiscovery::new(cfg).discover(&train).unwrap();
+            let res = Engine::from_config(&cfg).run(&train).unwrap();
             assert!(
                 !res.shapelets.is_empty(),
                 "dabf={use_dabf} dtcr={use_dt_cr}"
             );
             if !use_dabf {
-                assert_eq!(res.timings.dabf_build, Duration::ZERO);
+                assert_eq!(res.report.elapsed(Stage::DabfBuild), Duration::ZERO);
             }
         }
     }
@@ -347,7 +273,7 @@ mod tests {
             Dataset::new(series, vec![0; idx.len()]).unwrap()
         });
         let err = IpsClassifier::fit(&only_zero, fast_cfg()).unwrap_err();
-        assert!(matches!(err, PipelineError::InvalidTrainingSet(_)));
+        assert!(matches!(err, IpsError::InvalidTrainingSet(_)));
         assert!(err.to_string().contains("two classes"));
     }
 
@@ -355,10 +281,10 @@ mod tests {
     fn discovery_is_deterministic() {
         let spec = DatasetSpec::new("PipeDet", 2, 64, 12, 12);
         let (train, _) = SynthGenerator::new(spec).generate().unwrap();
-        let a = IpsDiscovery::new(fast_cfg()).discover(&train).unwrap();
-        let b = IpsDiscovery::new(fast_cfg()).discover(&train).unwrap();
+        let a = Engine::from_config(&fast_cfg()).run(&train).unwrap();
+        let b = Engine::from_config(&fast_cfg()).run(&train).unwrap();
         assert_eq!(a.shapelets, b.shapelets);
-        assert_eq!(a.candidates_pruned, b.candidates_pruned);
+        assert_eq!(a.report.candidates_pruned(), b.report.candidates_pruned());
     }
 
     #[test]
@@ -368,7 +294,7 @@ mod tests {
         let spec = DatasetSpec::new("PipeLoc", 2, 100, 16, 16).with_noise(0.1);
         let gen = SynthGenerator::new(spec);
         let (train, _) = gen.generate().unwrap();
-        let res = IpsDiscovery::new(fast_cfg()).discover(&train).unwrap();
+        let res = Engine::from_config(&fast_cfg()).run(&train).unwrap();
         for class in [0u32, 1] {
             let center = gen.pattern_center(class);
             let width = gen.pattern_width(class) * 100.0;

@@ -4,15 +4,19 @@
 //! The reference below is the pre-engine `discover()` body, expressed over
 //! the same public stage functions the engine composes.
 
+use std::time::Duration;
+
 use ips_core::engine::{CollectingObserver, Stage};
 use ips_core::{
     build_dabf, generate_candidates, prune_naive, prune_with_dabf, select_top_k, CandidateSampling,
-    ChunkSize, DiscoveryBudget, IpsConfig, IpsDiscovery, TopKStrategy,
+    ChunkSize, DiscoveryBudget, Engine, IpsConfig, TopKStrategy,
 };
 use ips_tsdata::{registry, Dataset, DatasetSpec, SynthGenerator};
 
 /// The seed's monolithic discovery loop: generate → (DABF build + prune |
-/// naive prune) → top-k. Returns `(shapelets, generated, pruned)`.
+/// naive prune) → top-k. Returns `(shapelets, generated, pruned)`. A
+/// `max_candidates` budget cuts the pool between generation and pruning,
+/// so `generated` is the pre-cut size and `pruned` excludes the cut.
 fn reference_discover(
     train: &Dataset,
     cfg: &IpsConfig,
@@ -20,6 +24,9 @@ fn reference_discover(
     let mut pool = generate_candidates(train, cfg);
     assert!(!pool.is_empty(), "reference: no candidates");
     let generated = pool.len();
+    if let Some(max) = cfg.budget.max_candidates {
+        pool.truncate(max);
+    }
     let (dabf, pruned) = if cfg.use_dabf {
         let dabf = build_dabf(&pool, cfg);
         let pruned = prune_with_dabf(&mut pool, &dabf);
@@ -56,16 +63,21 @@ fn engine_matches_reference_across_ablations_and_threads() {
         cfg.use_dt_cr = use_dt_cr;
         let (ref_shapelets, ref_generated, ref_pruned) = reference_discover(&train, &cfg);
         for threads in [1, 2, 0] {
-            let result = IpsDiscovery::new(cfg.clone().with_threads(threads))
-                .discover(&train)
+            let result = Engine::from_config(&cfg.clone().with_threads(threads))
+                .run(&train)
                 .unwrap();
             let tag = format!("dabf={use_dabf} dtcr={use_dt_cr} threads={threads}");
             assert_eq!(result.shapelets, ref_shapelets, "shapelets diverge: {tag}");
             assert_eq!(
-                result.candidates_generated, ref_generated,
+                result.report.candidates_generated(),
+                ref_generated,
                 "generated: {tag}"
             );
-            assert_eq!(result.candidates_pruned, ref_pruned, "pruned: {tag}");
+            assert_eq!(
+                result.report.candidates_pruned(),
+                ref_pruned,
+                "pruned: {tag}"
+            );
         }
     }
 }
@@ -76,31 +88,37 @@ fn engine_matches_reference_on_registry_data() {
     let cfg = base_cfg();
     let (ref_shapelets, ref_generated, ref_pruned) = reference_discover(&train, &cfg);
     for threads in [1, 2, 0] {
-        let result = IpsDiscovery::new(cfg.clone().with_threads(threads))
-            .discover(&train)
+        let result = Engine::from_config(&cfg.clone().with_threads(threads))
+            .run(&train)
             .unwrap();
         assert_eq!(result.shapelets, ref_shapelets, "threads={threads}");
-        assert_eq!(result.candidates_generated, ref_generated);
-        assert_eq!(result.candidates_pruned, ref_pruned);
+        assert_eq!(result.report.candidates_generated(), ref_generated);
+        assert_eq!(result.report.candidates_pruned(), ref_pruned);
     }
 }
 
 #[test]
 fn report_covers_all_stages_with_sane_counters() {
     let train = synth_train();
-    let result = IpsDiscovery::new(base_cfg()).discover(&train).unwrap();
+    let result = Engine::from_config(&base_cfg()).run(&train).unwrap();
     let report = &result.report;
     assert_eq!(report.stages().len(), 4);
     for stage in Stage::ALL {
         assert!(report.stage(stage).is_some(), "missing {stage:?}");
     }
     let gen = report.stage(Stage::CandidateGen).unwrap();
-    assert_eq!(gen.counters.candidates_out, result.candidates_generated);
+    assert_eq!(
+        gen.counters.candidates_out,
+        result.report.candidates_generated()
+    );
     let pruning = report.stage(Stage::Pruning).unwrap();
-    assert_eq!(pruning.counters.candidates_in, result.candidates_generated);
+    assert_eq!(
+        pruning.counters.candidates_in,
+        result.report.candidates_generated()
+    );
     assert_eq!(
         pruning.counters.candidates_in - pruning.counters.candidates_out,
-        result.candidates_pruned
+        result.report.candidates_pruned()
     );
     assert!(
         pruning.counters.dabf_probes > 0,
@@ -113,9 +131,6 @@ fn report_covers_all_stages_with_sane_counters() {
         topk.counters.utility_evals > 0,
         "selection must evaluate utilities"
     );
-    // the fixed-field view agrees with the report
-    assert_eq!(result.timings, report.timings());
-    assert_eq!(report.total(), result.timings.total());
 }
 
 #[test]
@@ -123,7 +138,7 @@ fn naive_path_reports_zero_dabf_build_but_counts_probes() {
     let train = synth_train();
     let mut cfg = base_cfg();
     cfg.use_dabf = false;
-    let result = IpsDiscovery::new(cfg).discover(&train).unwrap();
+    let result = Engine::from_config(&cfg).run(&train).unwrap();
     assert_eq!(
         result.report.elapsed(Stage::DabfBuild),
         std::time::Duration::ZERO
@@ -143,8 +158,8 @@ fn naive_path_reports_zero_dabf_build_but_counts_probes() {
 fn observer_hook_fires_once_per_stage_in_order() {
     let train = synth_train();
     let mut obs = CollectingObserver::default();
-    let result = IpsDiscovery::new(base_cfg())
-        .discover_with_observer(&train, &mut obs)
+    let result = Engine::from_config(&base_cfg())
+        .run_with_observer(&train, &mut obs)
         .unwrap();
     let observed: Vec<Stage> = obs.reports.iter().map(|r| r.stage).collect();
     assert_eq!(observed, Stage::ALL.to_vec());
@@ -173,8 +188,8 @@ fn fft_kernel_selects_identical_shapelets_across_grid() {
             cfg.use_dt_cr = use_dt_cr;
             let mut naive_cfg = cfg.clone();
             naive_cfg.use_fft_kernel = false;
-            let kern = IpsDiscovery::new(cfg).discover(&train).unwrap();
-            let naive = IpsDiscovery::new(naive_cfg).discover(&train).unwrap();
+            let kern = Engine::from_config(&cfg).run(&train).unwrap();
+            let naive = Engine::from_config(&naive_cfg).run(&train).unwrap();
             let tag = format!("dabf={use_dabf} dtcr={use_dt_cr} threads={threads}");
             assert_eq!(
                 provenance(&kern.shapelets),
@@ -199,7 +214,7 @@ fn exact_scoring_counters_partition_the_distance_requests() {
     let train = synth_train();
     let mut cfg = base_cfg();
     cfg.use_dt_cr = false; // force the Exact strategy
-    let result = IpsDiscovery::new(cfg).discover(&train).unwrap();
+    let result = Engine::from_config(&cfg).run(&train).unwrap();
     let topk = result.report.stage(Stage::TopK).unwrap().counters;
     assert!(
         topk.kernel_evals > 0,
@@ -213,14 +228,14 @@ fn exact_scoring_counters_partition_the_distance_requests() {
     // DT+CR works in DABF rank space and issues no sliding distances
     let mut cfg = base_cfg();
     cfg.use_dt_cr = true;
-    let result = IpsDiscovery::new(cfg).discover(&train).unwrap();
+    let result = Engine::from_config(&cfg).run(&train).unwrap();
     let topk = result.report.stage(Stage::TopK).unwrap().counters;
     assert_eq!((topk.kernel_evals, topk.cache_hits), (0, 0));
     // and with the kernel off, the exact path reports plain evals only
     let mut cfg = base_cfg();
     cfg.use_dt_cr = false;
     cfg.use_fft_kernel = false;
-    let result = IpsDiscovery::new(cfg).discover(&train).unwrap();
+    let result = Engine::from_config(&cfg).run(&train).unwrap();
     let topk = result.report.stage(Stage::TopK).unwrap().counters;
     assert_eq!((topk.kernel_evals, topk.cache_hits), (0, 0));
     assert!(topk.utility_evals > 0);
@@ -234,8 +249,8 @@ fn cache_counters_are_thread_count_invariant() {
     let reports: Vec<_> = [1, 2]
         .iter()
         .map(|&t| {
-            IpsDiscovery::new(cfg.clone().with_threads(t))
-                .discover(&train)
+            Engine::from_config(&cfg.clone().with_threads(t))
+                .run(&train)
                 .unwrap()
                 .report
         })
@@ -286,29 +301,31 @@ fn engine_is_bit_identical_across_threads_and_chunk_sizes() {
         let mut cfg = base_cfg();
         cfg.use_fft_kernel = fft;
         cfg.use_dt_cr = false; // Exact scoring exercises the distance shards
-        let reference = IpsDiscovery::new(cfg.clone()).discover(&train).unwrap();
+        let reference = Engine::from_config(&cfg).run(&train).unwrap();
         for chunk in [ChunkSize::Auto, ChunkSize::Fixed(1), ChunkSize::Fixed(7)] {
             for threads in [1, 2, 4, 0] {
                 let result =
-                    IpsDiscovery::new(cfg.clone().with_threads(threads).with_chunk_size(chunk))
-                        .discover(&train)
+                    Engine::from_config(&cfg.clone().with_threads(threads).with_chunk_size(chunk))
+                        .run(&train)
                         .unwrap();
                 let tag = format!("fft={fft} chunk={chunk:?} threads={threads}");
                 assert_eq!(result.shapelets, reference.shapelets, "shapelets: {tag}");
                 assert_eq!(
-                    result.candidates_generated, reference.candidates_generated,
+                    result.report.candidates_generated(),
+                    reference.report.candidates_generated(),
                     "generated: {tag}"
                 );
                 assert_eq!(
-                    result.candidates_pruned, reference.candidates_pruned,
+                    result.report.candidates_pruned(),
+                    reference.report.candidates_pruned(),
                     "pruned: {tag}"
                 );
                 // Counters may legitimately vary with the chunk knob
                 // (sched_items is defined by the partition), never with the
                 // thread count at a fixed chunking.
                 let same_chunk_ref =
-                    IpsDiscovery::new(cfg.clone().with_threads(1).with_chunk_size(chunk))
-                        .discover(&train)
+                    Engine::from_config(&cfg.clone().with_threads(1).with_chunk_size(chunk))
+                        .run(&train)
                         .unwrap();
                 for stage in Stage::ALL {
                     assert_eq!(
@@ -337,10 +354,10 @@ fn sampled_discovery_is_bit_identical_across_threads_chunks_and_fft() {
         cfg.use_dt_cr = false; // Exact scoring exercises the distance shards
         let mut dense_cfg = cfg.clone();
         dense_cfg.candidate_sampling = None;
-        let dense = IpsDiscovery::new(dense_cfg).discover(&train).unwrap();
-        let reference = IpsDiscovery::new(cfg.clone()).discover(&train).unwrap();
+        let dense = Engine::from_config(&dense_cfg).run(&train).unwrap();
+        let reference = Engine::from_config(&cfg).run(&train).unwrap();
         assert!(
-            reference.candidates_generated < dense.candidates_generated,
+            reference.report.candidates_generated() < dense.report.candidates_generated(),
             "sampling must shrink the pool"
         );
         let gen = reference
@@ -348,22 +365,26 @@ fn sampled_discovery_is_bit_identical_across_threads_chunks_and_fft() {
             .stage(Stage::CandidateGen)
             .unwrap()
             .counters;
-        assert_eq!(gen.sampled_candidates, reference.candidates_generated);
-        assert_eq!(gen.candidates_in, dense.candidates_generated);
+        assert_eq!(
+            gen.sampled_candidates,
+            reference.report.candidates_generated()
+        );
+        assert_eq!(gen.candidates_in, dense.report.candidates_generated());
         for chunk in [ChunkSize::Auto, ChunkSize::Fixed(1), ChunkSize::Fixed(7)] {
             let same_chunk_ref =
-                IpsDiscovery::new(cfg.clone().with_threads(1).with_chunk_size(chunk))
-                    .discover(&train)
+                Engine::from_config(&cfg.clone().with_threads(1).with_chunk_size(chunk))
+                    .run(&train)
                     .unwrap();
             for threads in [1, 2, 4, 0] {
                 let result =
-                    IpsDiscovery::new(cfg.clone().with_threads(threads).with_chunk_size(chunk))
-                        .discover(&train)
+                    Engine::from_config(&cfg.clone().with_threads(threads).with_chunk_size(chunk))
+                        .run(&train)
                         .unwrap();
                 let tag = format!("fft={fft} chunk={chunk:?} threads={threads}");
                 assert_eq!(result.shapelets, reference.shapelets, "shapelets: {tag}");
                 assert_eq!(
-                    result.candidates_generated, reference.candidates_generated,
+                    result.report.candidates_generated(),
+                    reference.report.candidates_generated(),
                     "generated: {tag}"
                 );
                 for stage in Stage::ALL {
@@ -389,55 +410,98 @@ fn sampling_budget_degrades_only_when_the_sampled_pool_is_cut() {
     let sampled_cfg = base_cfg().with_candidate_sampling(CandidateSampling::fraction(0.4));
     let mut dense_cfg = sampled_cfg.clone();
     dense_cfg.candidate_sampling = None;
-    let dense = IpsDiscovery::new(dense_cfg.clone())
-        .discover(&train)
-        .unwrap();
-    let sampled = IpsDiscovery::new(sampled_cfg.clone())
-        .discover(&train)
-        .unwrap();
+    let dense = Engine::from_config(&dense_cfg).run(&train).unwrap();
+    let sampled = Engine::from_config(&sampled_cfg).run(&train).unwrap();
     assert!(!sampled.degraded, "sampling alone must not stamp degraded");
     assert!(
-        sampled.candidates_generated < dense.candidates_generated,
+        sampled.report.candidates_generated() < dense.report.candidates_generated(),
         "fixture needs a sampled pool strictly below the dense pool"
     );
 
     // A ceiling between the sampled and dense sizes: the dense pool would
     // have been cut, the sampled pool was not — no degradation.
     let budget = DiscoveryBudget {
-        max_candidates: Some(sampled.candidates_generated),
+        max_candidates: Some(sampled.report.candidates_generated()),
         ..DiscoveryBudget::default()
     };
-    let under = IpsDiscovery::new(sampled_cfg.clone().with_budget(budget))
-        .discover(&train)
+    let under = Engine::from_config(&sampled_cfg.clone().with_budget(budget))
+        .run(&train)
         .unwrap();
     assert!(
         !under.degraded,
         "budget ≥ sampled pool must not stamp degraded (sampled {}, dense {})",
-        sampled.candidates_generated, dense.candidates_generated
+        sampled.report.candidates_generated(),
+        dense.report.candidates_generated()
     );
     assert_eq!(under.shapelets, sampled.shapelets);
     // …while the same ceiling on the dense run does cut.
-    let dense_cut = IpsDiscovery::new(dense_cfg.with_budget(budget))
-        .discover(&train)
-        .unwrap();
+    let dense_cut_cfg = dense_cfg.clone().with_budget(budget);
+    let dense_cut = Engine::from_config(&dense_cut_cfg).run(&train).unwrap();
     assert!(
         dense_cut.degraded,
         "the same ceiling must cut the dense run"
     );
+    // The report's derived counts on a cut run: `generated` is the pool
+    // before the cut, `pruned` counts what pruning removed from the cut
+    // pool and never the truncated tail — both pinned against the
+    // monolithic reference run under the same budget.
+    let (ref_shapelets, ref_generated, ref_pruned) = reference_discover(&train, &dense_cut_cfg);
+    assert_eq!(ref_generated, dense.report.candidates_generated());
+    assert_eq!(dense_cut.report.candidates_generated(), ref_generated);
+    assert_eq!(dense_cut.report.candidates_pruned(), ref_pruned);
+    assert_eq!(dense_cut.shapelets, ref_shapelets);
 
     // A ceiling below the sampled size cuts the sampled pool itself.
     let tight = DiscoveryBudget {
-        max_candidates: Some(sampled.candidates_generated - 1),
+        max_candidates: Some(sampled.report.candidates_generated() - 1),
         ..DiscoveryBudget::default()
     };
-    let cut = IpsDiscovery::new(sampled_cfg.with_budget(tight))
-        .discover(&train)
+    let cut = Engine::from_config(&sampled_cfg.clone().with_budget(tight))
+        .run(&train)
         .unwrap();
     assert!(cut.degraded, "budget below the sampled pool must degrade");
     // Truncation applies after sampling: the pruning stage saw exactly
     // the budgeted pool.
     let pruning = cut.report.stage(Stage::Pruning).unwrap().counters;
-    assert_eq!(pruning.candidates_in, sampled.candidates_generated - 1);
+    assert_eq!(
+        pruning.candidates_in,
+        sampled.report.candidates_generated() - 1
+    );
+    // `generated` is the sampled pool before the cut, and for a sampled
+    // source it equals the stage's `sampled_candidates`; `pruned` leaves
+    // out the one truncated candidate.
+    let gen = cut.report.stage(Stage::CandidateGen).unwrap().counters;
+    assert_eq!(
+        cut.report.candidates_generated(),
+        sampled.report.candidates_generated()
+    );
+    assert_eq!(gen.sampled_candidates, cut.report.candidates_generated());
+    assert_eq!(
+        cut.report.candidates_pruned(),
+        pruning.candidates_in - pruning.candidates_out
+    );
+    assert_eq!(
+        cut.report.candidates_generated() - 1 - cut.report.candidates_pruned(),
+        pruning.candidates_out
+    );
+
+    // An already-expired deadline skips pruning: the run is degraded,
+    // nothing counts as pruned, and `generated` is still the emitted pool.
+    let expired = DiscoveryBudget {
+        max_wall_clock: Some(Duration::from_nanos(1)),
+        ..DiscoveryBudget::default()
+    };
+    for (cfg, full) in [(dense_cfg, &dense), (sampled_cfg, &sampled)] {
+        let run = Engine::from_config(&cfg.with_budget(expired))
+            .run(&train)
+            .unwrap();
+        assert!(run.degraded, "an expired deadline must degrade");
+        assert_eq!(run.report.candidates_pruned(), 0);
+        assert_eq!(
+            run.report.candidates_generated(),
+            full.report.candidates_generated()
+        );
+    }
 }
 
 /// `sched_items` is part of the observability contract: non-zero for the
@@ -449,8 +513,8 @@ fn sched_items_reflect_the_partition_and_ignore_threads() {
     let mut cfg = base_cfg();
     cfg.use_dt_cr = false;
     let items_for = |chunk: ChunkSize, threads: usize| -> Vec<(Stage, usize)> {
-        let result = IpsDiscovery::new(cfg.clone().with_threads(threads).with_chunk_size(chunk))
-            .discover(&train)
+        let result = Engine::from_config(&cfg.clone().with_threads(threads).with_chunk_size(chunk))
+            .run(&train)
             .unwrap();
         Stage::ALL
             .into_iter()
@@ -486,8 +550,8 @@ fn counters_are_thread_count_invariant() {
     let runs: Vec<_> = [1, 2, 0]
         .iter()
         .map(|&t| {
-            IpsDiscovery::new(base_cfg().with_threads(t))
-                .discover(&train)
+            Engine::from_config(&base_cfg().with_threads(t))
+                .run(&train)
                 .unwrap()
                 .report
         })

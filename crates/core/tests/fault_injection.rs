@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use ips_core::engine::Stage;
-use ips_core::{DiscoveryBudget, Engine, FaultPlan, IpsConfig, IpsDiscovery, IpsError};
+use ips_core::{DiscoveryBudget, Engine, FaultPlan, IpsConfig, IpsError};
 use ips_tsdata::{Dataset, DatasetSpec, SynthGenerator};
 
 fn synth_train() -> Dataset {
@@ -141,7 +141,7 @@ fn a_contained_panic_does_not_poison_subsequent_runs() {
         ));
     }
     // And a clean engine on the same data is entirely unaffected.
-    let clean = IpsDiscovery::new(base_cfg()).discover(&train).unwrap();
+    let clean = Engine::from_config(&base_cfg()).run(&train).unwrap();
     assert!(!clean.shapelets.is_empty());
     assert!(!clean.degraded);
 }
@@ -200,7 +200,7 @@ mod scheduler_panic_props {
             ][chunk_idx];
             let train = synth_train();
             let cfg = base_cfg().with_threads(threads).with_chunk_size(chunk);
-            let reference = IpsDiscovery::new(base_cfg()).discover(&train).unwrap();
+            let reference = Engine::from_config(&base_cfg()).run(&train).unwrap();
 
             let plan = FaultPlan {
                 stage_panic: Some(stage),
@@ -218,10 +218,10 @@ mod scheduler_panic_props {
                 ),
             }
 
-            let clean = IpsDiscovery::new(cfg).discover(&train).unwrap();
+            let clean = Engine::from_config(&cfg).run(&train).unwrap();
             prop_assert_eq!(&clean.shapelets, &reference.shapelets);
-            prop_assert_eq!(clean.candidates_generated, reference.candidates_generated);
-            prop_assert_eq!(clean.candidates_pruned, reference.candidates_pruned);
+            prop_assert_eq!(clean.report.candidates_generated(), reference.report.candidates_generated());
+            prop_assert_eq!(clean.report.candidates_pruned(), reference.report.candidates_pruned());
         }
     }
 }
@@ -237,7 +237,7 @@ fn kernel_failure_degrades_to_naive_scoring_with_identical_results() {
     cfg.use_dt_cr = false; // exact scoring draws from the distance cache
     assert!(cfg.use_fft_kernel, "scenario requires the FFT kernel path");
 
-    let plain = IpsDiscovery::new(cfg.clone()).discover(&train).unwrap();
+    let plain = Engine::from_config(&cfg).run(&train).unwrap();
     let plan = FaultPlan {
         kernel_error: true,
         ..FaultPlan::new(0)
@@ -246,7 +246,10 @@ fn kernel_failure_degrades_to_naive_scoring_with_identical_results() {
 
     // The fallback is silent at the result level...
     assert_eq!(faulted.shapelets, plain.shapelets);
-    assert_eq!(faulted.candidates_pruned, plain.candidates_pruned);
+    assert_eq!(
+        faulted.report.candidates_pruned(),
+        plain.report.candidates_pruned()
+    );
     assert!(
         !faulted.degraded,
         "kernel fallback is not a budget degradation"
@@ -270,18 +273,18 @@ fn kernel_failure_degrades_to_naive_scoring_with_identical_results() {
 #[test]
 fn candidate_budget_returns_best_so_far_with_degraded_flag() {
     let train = synth_train();
-    let full = IpsDiscovery::new(base_cfg()).discover(&train).unwrap();
+    let full = Engine::from_config(&base_cfg()).run(&train).unwrap();
     let cfg = base_cfg().with_budget(DiscoveryBudget {
-        max_candidates: Some(full.candidates_generated / 2),
+        max_candidates: Some(full.report.candidates_generated() / 2),
         ..DiscoveryBudget::default()
     });
-    let result = IpsDiscovery::new(cfg).discover(&train).unwrap();
+    let result = Engine::from_config(&cfg).run(&train).unwrap();
     assert!(result.degraded, "a tripped budget must be stamped");
     assert!(!result.shapelets.is_empty(), "best-so-far, not nothing");
     let pruning = result.report.stage(Stage::Pruning).unwrap().counters;
     assert_eq!(
         pruning.candidates_in,
-        full.candidates_generated / 2,
+        full.report.candidates_generated() / 2,
         "pruning must see the truncated pool"
     );
     // The flag survives serialization (RunRecord schema v2).
@@ -296,12 +299,12 @@ fn candidate_budget_returns_best_so_far_with_degraded_flag() {
 #[test]
 fn unreachable_candidate_budget_changes_nothing() {
     let train = synth_train();
-    let full = IpsDiscovery::new(base_cfg()).discover(&train).unwrap();
+    let full = Engine::from_config(&base_cfg()).run(&train).unwrap();
     let cfg = base_cfg().with_budget(DiscoveryBudget {
-        max_candidates: Some(full.candidates_generated),
+        max_candidates: Some(full.report.candidates_generated()),
         ..DiscoveryBudget::default()
     });
-    let result = IpsDiscovery::new(cfg).discover(&train).unwrap();
+    let result = Engine::from_config(&cfg).run(&train).unwrap();
     assert!(!result.degraded);
     assert_eq!(result.shapelets, full.shapelets);
 }
@@ -316,7 +319,7 @@ fn expired_wall_clock_budget_still_yields_a_result_or_typed_exhaustion() {
     // An already-expired deadline skips pruning and stops scoring after
     // the first class: either a degraded best-so-far result or — if even
     // that produced nothing — a typed BudgetExhausted. Never a panic.
-    match IpsDiscovery::new(cfg).discover(&train) {
+    match Engine::from_config(&cfg).run(&train) {
         Ok(result) => {
             assert!(result.degraded);
             assert!(!result.shapelets.is_empty());
@@ -331,12 +334,12 @@ fn expired_wall_clock_budget_still_yields_a_result_or_typed_exhaustion() {
 #[test]
 fn generous_wall_clock_budget_matches_unbudgeted_selection() {
     let train = synth_train();
-    let full = IpsDiscovery::new(base_cfg()).discover(&train).unwrap();
+    let full = Engine::from_config(&base_cfg()).run(&train).unwrap();
     let cfg = base_cfg().with_budget(DiscoveryBudget {
         max_wall_clock: Some(Duration::from_secs(3600)),
         ..DiscoveryBudget::default()
     });
-    let result = IpsDiscovery::new(cfg).discover(&train).unwrap();
+    let result = Engine::from_config(&cfg).run(&train).unwrap();
     assert!(!result.degraded);
     assert_eq!(result.shapelets, full.shapelets);
 }
@@ -350,11 +353,17 @@ fn inert_fault_plan_is_bit_identical_to_no_plan() {
     let train = synth_train();
     for threads in [1, 2] {
         let cfg = base_cfg().with_threads(threads);
-        let plain = IpsDiscovery::new(cfg.clone()).discover(&train).unwrap();
+        let plain = Engine::from_config(&cfg).run(&train).unwrap();
         let inert = run_with(FaultPlan::default(), cfg, &train).unwrap();
         assert_eq!(inert.shapelets, plain.shapelets, "threads={threads}");
-        assert_eq!(inert.candidates_generated, plain.candidates_generated);
-        assert_eq!(inert.candidates_pruned, plain.candidates_pruned);
+        assert_eq!(
+            inert.report.candidates_generated(),
+            plain.report.candidates_generated()
+        );
+        assert_eq!(
+            inert.report.candidates_pruned(),
+            plain.report.candidates_pruned()
+        );
         assert_eq!(inert.degraded, plain.degraded);
         for stage in Stage::ALL {
             assert_eq!(

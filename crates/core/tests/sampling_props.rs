@@ -7,8 +7,8 @@
 
 use ips_core::engine::Stage;
 use ips_core::{
-    sample_pool, Candidate, CandidateKind, CandidatePool, CandidateSampling, ChunkSize, IpsConfig,
-    IpsDiscovery, SampleBudget,
+    sample_pool, Candidate, CandidateKind, CandidatePool, CandidateSampling, ChunkSize, Engine,
+    IpsConfig, SampleBudget,
 };
 use ips_tsdata::{DatasetSpec, SynthGenerator};
 use proptest::prelude::*;
@@ -119,35 +119,40 @@ fn sampled_discovery_is_pure_in_workload_and_seed() {
             .with_k(2)
             .with_seed(seed)
             .with_candidate_sampling(sampling);
-        let dense = IpsDiscovery::new({
+        let dense = Engine::from_config(&{
             let mut c = cfg.clone();
             c.candidate_sampling = None;
             c
         })
-        .discover(&train)
+        .run(&train)
         .unwrap();
-        let reference = IpsDiscovery::new(cfg.clone()).discover(&train).unwrap();
-        assert!(reference.candidates_generated <= dense.candidates_generated);
+        let reference = Engine::from_config(&cfg).run(&train).unwrap();
+        assert!(reference.report.candidates_generated() <= dense.report.candidates_generated());
         let gen = reference
             .report
             .stage(Stage::CandidateGen)
             .unwrap()
             .counters;
-        assert_eq!(gen.sampled_candidates, reference.candidates_generated);
-        assert_eq!(gen.candidates_in, dense.candidates_generated);
+        assert_eq!(
+            gen.sampled_candidates,
+            reference.report.candidates_generated()
+        );
+        assert_eq!(gen.candidates_in, dense.report.candidates_generated());
         for (threads, chunk) in [
             (1, ChunkSize::Auto),
             (4, ChunkSize::Auto),
             (1, ChunkSize::Fixed(7)),
             (4, ChunkSize::Fixed(7)),
         ] {
-            let run = IpsDiscovery::new(cfg.clone().with_threads(threads).with_chunk_size(chunk))
-                .discover(&train)
-                .unwrap();
+            let run =
+                Engine::from_config(&cfg.clone().with_threads(threads).with_chunk_size(chunk))
+                    .run(&train)
+                    .unwrap();
             let tag = format!("seed={seed} threads={threads} chunk={chunk:?}");
             assert_eq!(run.shapelets, reference.shapelets, "{tag}");
             assert_eq!(
-                run.candidates_generated, reference.candidates_generated,
+                run.report.candidates_generated(),
+                reference.report.candidates_generated(),
                 "{tag}"
             );
             let counters = run.report.stage(Stage::CandidateGen).unwrap().counters;

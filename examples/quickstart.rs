@@ -32,17 +32,14 @@ fn main() {
     let model = IpsClassifier::fit(&train, cfg).expect("training succeeds");
     let elapsed = started.elapsed();
 
-    let d = model.discovery();
+    let report = &model.discovery().report;
     println!(
-        "\ndiscovery: {} candidates generated, {} pruned by DABF, {} shapelets kept",
-        d.candidates_generated,
-        d.candidates_pruned,
+        "\ndiscovery: {} candidates generated, {} pruned by DABF, {} shapelets kept (fit total {elapsed:?})",
+        report.candidates_generated(),
+        report.candidates_pruned(),
         model.shapelets().len()
     );
-    println!(
-        "stage times: candidates {:?}, dabf {:?}, pruning {:?}, top-k {:?} (fit total {elapsed:?})",
-        d.timings.candidate_gen, d.timings.dabf_build, d.timings.pruning, d.timings.top_k
-    );
+    print!("\nstage breakdown:\n{}", report.render_table());
 
     println!("\ntop shapelet per class:");
     for class in train.classes() {

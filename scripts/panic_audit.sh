@@ -16,7 +16,6 @@ AUDITED_FILES=(
     crates/bench/src/bin/bench_scaling.rs
     crates/bench/src/bin/bench_serve.rs
     crates/core/src/engine.rs
-    crates/core/src/parallel.rs
     crates/core/src/pipeline.rs
     crates/core/src/sampling.rs
     crates/core/src/schedule.rs

@@ -97,7 +97,7 @@ mod tests {
 pub mod prelude {
     pub use ips_baselines::{BaseClassifier, BaseConfig, BspCoverClassifier, BspCoverConfig};
     pub use ips_classify::{LinearSvm, OneNnDtw, OneNnEd, Shapelet, ShapeletTransform};
-    pub use ips_core::{IpsClassifier, IpsConfig, IpsDiscovery};
+    pub use ips_core::{Engine, IpsClassifier, IpsConfig};
     pub use ips_obs::{MetricsRegistry, RunRecord};
     pub use ips_profile::{InstanceProfile, MatrixProfile, Metric};
     pub use ips_serve::{ClassifyRequest, IpsServer, ModelRegistry, ServableModel, ServeConfig};

@@ -2,7 +2,7 @@
 //! facade crate, exercising tsdata → profile → lsh → filter → core →
 //! classify together.
 
-use ips::core::{IpsClassifier, IpsConfig, IpsDiscovery};
+use ips::core::{Engine, IpsClassifier, IpsConfig};
 use ips::prelude::*;
 use ips::profile::Metric;
 
@@ -80,15 +80,13 @@ fn ips_beats_base_on_multimodal_classes_quick() {
 fn discovery_result_is_consistent_with_classifier() {
     let (train, _) = registry::load("Coffee").expect("registry dataset");
     let cfg = fast_cfg();
-    let direct = IpsDiscovery::new(cfg.clone())
-        .discover(&train)
-        .expect("discover");
+    let direct = Engine::from_config(&cfg).run(&train).expect("discover");
     let model = IpsClassifier::fit(&train, cfg).expect("fit");
     assert_eq!(&direct.shapelets, model.shapelets());
     assert_eq!(model.shapelets().len(), 2 * 3);
     assert_eq!(
-        direct.candidates_generated,
-        model.discovery().candidates_generated
+        direct.report.candidates_generated(),
+        model.discovery().report.candidates_generated()
     );
     assert_eq!(
         direct.report.stages().len(),

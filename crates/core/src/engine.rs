@@ -61,7 +61,7 @@ use crate::pruning::{
 use crate::schedule::TaskPartition;
 use crate::topk::select_class_from_scores;
 use crate::utility::{
-    compute_min_dist, exact_request_plan, score_class, score_exact_replay, ClassRequests, ScoreMode,
+    exact_request_plan, score_class, score_exact_replay, ClassRequests, ScoreMode,
 };
 
 // ---------------------------------------------------------------------------
@@ -1167,12 +1167,15 @@ impl Pruner for NoopPruner {
 ///
 /// 1. **Record** — [`exact_request_plan`] enumerates each class's
 ///    sliding-distance requests without computing any (the scoring core
-///    has no distance-value-dependent control flow) and dedupes them by
-///    the cache's own memo key.
+///    has no distance-value-dependent control flow), dedupes them by the
+///    cache's own memo key (hashing each distinct slice once), and groups
+///    the distinct requests by oriented series.
 /// 2. **Compute** — the per-class *unique* request lists are cut into
 ///    [`TaskPartition`] batches; each batch resolves its slice against a
-///    fresh cache shard. All keys in a class are distinct, so shard
-///    counters sum to exactly the sequential memo's evals regardless of
+///    fresh cache shard by key, meeting each series' requests in one run
+///    so the shard builds that series' window statistics once per query
+///    length. All keys in a class are distinct, so shard counters sum to
+///    exactly the sequential memo's evals regardless of the order or of
 ///    where the batch boundaries fall.
 /// 3. **Replay** — [`score_exact_replay`] re-runs the scoring core
 ///    sequentially per class, feeding request *r* its precomputed
@@ -1291,7 +1294,7 @@ impl Selector for UtilitySelector {
                 let mut cache = make_cache();
                 let dists: Vec<f64> = plans[item.class_idx].unique[item.start..item.end]
                     .iter()
-                    .map(|&(a, b)| compute_min_dist(a, b, metric, cache.as_mut()))
+                    .map(|r| r.resolve(metric, cache.as_mut()))
                     .collect();
                 (dists, cache)
             });

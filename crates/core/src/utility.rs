@@ -14,7 +14,7 @@
 //! ordering while keeping the scores numerically distinct (recorded in
 //! DESIGN.md §2).
 
-use ips_distance::{min_dist_key, sliding_min_dist, sliding_min_dist_znorm, DistCache};
+use ips_distance::{sliding_min_dist, sliding_min_dist_znorm, DistCache, MinDistKey, SliceKey};
 use ips_filter::Dabf;
 use ips_lsh::embed;
 use ips_profile::Metric;
@@ -170,13 +170,39 @@ fn score_exact_core<'a>(
     (scores, evals)
 }
 
+/// One distinct sliding-distance request, oriented the way the distance
+/// cache orients it (`q` slides over the at-least-as-long `s`) and
+/// carrying its memo key, so resolving it through a cache shard hashes
+/// nothing.
+#[derive(Clone, Copy)]
+pub(crate) struct KeyedRequest<'a> {
+    pub q: &'a [f64],
+    pub s: &'a [f64],
+    pub key: MinDistKey,
+}
+
+impl KeyedRequest<'_> {
+    /// The request's distance, through `cache` when one is supplied (by
+    /// key: no content hashing) or the plain vectorized loops — the same
+    /// values [`compute_min_dist`] returns for `(q, s)`.
+    pub fn resolve(&self, metric: Metric, cache: Option<&mut DistCache>) -> f64 {
+        match cache {
+            Some(c) => c.min_dist_keyed(self.key, self.q, self.s).0,
+            None => compute_min_dist(self.q, self.s, metric, None),
+        }
+    }
+}
+
 /// One class's exact-scoring request list, deduplicated by the distance
 /// cache's own memo key: `unique` holds the first occurrence of each
-/// distinct request (in request order), `req_to_unique[r]` maps the
-/// `r`-th request to its entry in `unique`.
+/// distinct request, `req_to_unique[r]` maps the `r`-th request to its
+/// entry in `unique`.
 pub(crate) struct ClassRequests<'a> {
-    /// First occurrence of each distinct `(a, b)` request, request-ordered.
-    pub unique: Vec<(&'a [f64], &'a [f64])>,
+    /// Each distinct request once, **grouped by oriented series** (series
+    /// in order of first appearance, each group's requests in request
+    /// order), so a contiguous chunk meets a series' requests in one run
+    /// and its cache shard builds that series' statistics once.
+    pub unique: Vec<KeyedRequest<'a>>,
     /// Request index → index into `unique`.
     pub req_to_unique: Vec<usize>,
 }
@@ -191,10 +217,16 @@ impl ClassRequests<'_> {
 
 /// Recording pass of the scheduler's exact-scoring pipeline: runs
 /// [`score_exact_core`] with a request-recording distance closure (no
-/// distance work), then deduplicates by [`min_dist_key`] — the exact
-/// identity [`DistCache`] memoizes under, so `unique.len()` equals the
-/// sequential path's kernel evals and [`ClassRequests::duplicate_requests`]
-/// its memo hits, independent of how `unique` is later chunked.
+/// distance work), then deduplicates by the memo key — the exact identity
+/// [`DistCache`] memoizes under ([`ips_distance::min_dist_key`]), so
+/// `unique.len()` equals the sequential path's kernel evals and
+/// [`ClassRequests::duplicate_requests`] its memo hits, independent of how
+/// `unique` is ordered or later chunked.
+///
+/// Each distinct slice (a motif, another class's candidate, an instance)
+/// is content-hashed once per class rather than twice per request: the
+/// slices all borrow from `pool` and `train` for `'a`, so their address
+/// and length identify them for the lifetime of the plan.
 pub(crate) fn exact_request_plan<'a>(
     pool: &'a CandidatePool,
     train: &'a Dataset,
@@ -207,20 +239,45 @@ pub(crate) fn exact_request_plan<'a>(
         0.0
     };
     score_exact_core(pool, train, config, class, &mut Vec::new(), &mut record);
-    let mut unique = Vec::new();
+    let mut slice_keys: HashMap<(*const f64, usize), SliceKey> = HashMap::new();
+    let mut key_of = |xs: &[f64]| {
+        *slice_keys
+            .entry((xs.as_ptr(), xs.len()))
+            .or_insert_with(|| SliceKey::of(xs))
+    };
+    let mut unique: Vec<KeyedRequest<'a>> = Vec::new();
     let mut req_to_unique = Vec::with_capacity(reqs.len());
     let mut seen = HashMap::with_capacity(reqs.len());
     for (a, b) in reqs {
-        let idx = *seen
-            .entry(min_dist_key(a, b, config.metric))
-            .or_insert_with(|| {
-                unique.push((a, b));
-                unique.len() - 1
-            });
+        let (q, s) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        let key = MinDistKey::oriented(key_of(q), key_of(s), config.metric);
+        let idx = *seen.entry(key).or_insert_with(|| {
+            unique.push(KeyedRequest { q, s, key });
+            unique.len() - 1
+        });
         req_to_unique.push(idx);
     }
+    // Group by oriented series, series in first-appearance order: a stable
+    // sort on the group index keeps request order within a group.
+    let mut group_of: HashMap<SliceKey, usize> = HashMap::new();
+    let groups: Vec<usize> = unique
+        .iter()
+        .map(|r| {
+            let next = group_of.len();
+            *group_of.entry(r.key.series()).or_insert(next)
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..unique.len()).collect();
+    order.sort_by_key(|&i| groups[i]);
+    let mut new_index = vec![0; unique.len()];
+    for (new, &old) in order.iter().enumerate() {
+        new_index[old] = new;
+    }
+    for r in &mut req_to_unique {
+        *r = new_index[*r];
+    }
     ClassRequests {
-        unique,
+        unique: order.iter().map(|&i| unique[i]).collect(),
         req_to_unique,
     }
 }
@@ -508,6 +565,56 @@ mod tests {
             assert!(scores.iter().all(|s| s.is_finite()));
             // score range is bounded by the three sigmoids
             assert!(scores.iter().all(|s| (-1.0..=2.0).contains(s)));
+        }
+    }
+
+    #[test]
+    fn exact_request_plan_is_series_grouped_and_keyed_like_the_cache() {
+        use ips_distance::min_dist_key;
+        use std::collections::HashSet;
+        let (pool, train, cfg) = setup();
+        for c in pool.classes() {
+            let plan = exact_request_plan(&pool, &train, &cfg, c);
+            // the same request enumeration the plan recorded
+            let mut reqs: Vec<(&[f64], &[f64])> = Vec::new();
+            let mut record = |a, b| {
+                reqs.push((a, b));
+                0.0
+            };
+            score_exact_core(&pool, &train, &cfg, c, &mut Vec::new(), &mut record);
+            assert_eq!(plan.req_to_unique.len(), reqs.len());
+            for (&(a, b), &u) in reqs.iter().zip(&plan.req_to_unique) {
+                let entry = &plan.unique[u];
+                assert_eq!(entry.key, min_dist_key(a, b, cfg.metric));
+                assert_eq!(entry.key, min_dist_key(entry.q, entry.s, cfg.metric));
+                assert!(entry.q.len() <= entry.s.len());
+            }
+            // every distinct key once, every entry reached
+            let keys: HashSet<_> = plan.unique.iter().map(|r| r.key).collect();
+            assert_eq!(keys.len(), plan.unique.len());
+            let reached: HashSet<_> = plan.req_to_unique.iter().collect();
+            assert_eq!(reached.len(), plan.unique.len());
+            // series-contiguous: once the run of a series ends, it never
+            // reappears
+            let mut closed = HashSet::new();
+            for pair in plan.unique.windows(2) {
+                let (prev, next) = (pair[0].key.series(), pair[1].key.series());
+                if prev != next {
+                    closed.insert(prev);
+                    assert!(!closed.contains(&next), "class {c}: series split");
+                }
+            }
+            // series groups appear in first-request order
+            let mut first_seen = Vec::new();
+            for &u in &plan.req_to_unique {
+                let series = plan.unique[u].key.series();
+                if !first_seen.contains(&series) {
+                    first_seen.push(series);
+                }
+            }
+            let mut grouped: Vec<_> = plan.unique.iter().map(|r| r.key.series()).collect();
+            grouped.dedup();
+            assert_eq!(grouped, first_seen, "class {c}: group order");
         }
     }
 

@@ -293,46 +293,100 @@ fn forced_kernel_scoring_matches_naive_scores() {
 /// The tentpole determinism contract: the work-item scheduler must make
 /// results *and counters* a pure function of the workload and the
 /// `chunk_size` knob — bit-identical at every thread count for any fixed
-/// chunking, with and without the FFT kernel.
+/// chunking, with and without the FFT kernel. Two workloads: the short
+/// synthetic set, and a multi-length long-instance one (three candidate
+/// lengths, so each instance is probed at several window lengths and the
+/// series-grouped shards build per-length statistics), whose scores must
+/// also equal the sequential (deadline) path's bit for bit.
 #[test]
 fn engine_is_bit_identical_across_threads_and_chunk_sizes() {
-    let train = synth_train();
-    for fft in [true, false] {
-        let mut cfg = base_cfg();
-        cfg.use_fft_kernel = fft;
-        cfg.use_dt_cr = false; // Exact scoring exercises the distance shards
-        let reference = Engine::from_config(&cfg).run(&train).unwrap();
-        for chunk in [ChunkSize::Auto, ChunkSize::Fixed(1), ChunkSize::Fixed(7)] {
-            for threads in [1, 2, 4, 0] {
-                let result =
-                    Engine::from_config(&cfg.clone().with_threads(threads).with_chunk_size(chunk))
-                        .run(&train)
-                        .unwrap();
-                let tag = format!("fft={fft} chunk={chunk:?} threads={threads}");
-                assert_eq!(result.shapelets, reference.shapelets, "shapelets: {tag}");
-                assert_eq!(
-                    result.report.candidates_generated(),
-                    reference.report.candidates_generated(),
-                    "generated: {tag}"
-                );
-                assert_eq!(
-                    result.report.candidates_pruned(),
-                    reference.report.candidates_pruned(),
-                    "pruned: {tag}"
-                );
+    let (long_train, _) = registry::load_scaled("ItalyPowerDemand", 2).unwrap();
+    let mut long_cfg = base_cfg();
+    long_cfg.length_ratios = vec![0.1, 0.2, 0.3];
+    let workloads = [
+        ("synth", synth_train(), base_cfg()),
+        ("ipd-x2", long_train, long_cfg),
+    ];
+    for (name, train, cfg) in &workloads {
+        for fft in [true, false] {
+            let mut cfg = cfg.clone();
+            cfg.use_fft_kernel = fft;
+            cfg.use_dt_cr = false; // Exact scoring exercises the distance shards
+            let reference = Engine::from_config(&cfg).run(train).unwrap();
+            // the deadline path scores class by class through one cache,
+            // in request order — no recording, grouping, chunking or replay
+            let sequential = Engine::from_config(&cfg.clone().with_budget(DiscoveryBudget {
+                max_wall_clock: Some(Duration::from_secs(3600)),
+                max_candidates: None,
+            }))
+            .run(train)
+            .unwrap();
+            assert!(
+                !sequential.degraded,
+                "{name} fft={fft}: sequential degraded"
+            );
+            assert_eq!(
+                provenance(&sequential.shapelets),
+                provenance(&reference.shapelets),
+                "{name} fft={fft}: sequential selection"
+            );
+            let bits = |r: &ips_core::DiscoveryResult| -> Vec<u64> {
+                r.shapelets.iter().map(|s| s.score.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(&sequential),
+                bits(&reference),
+                "{name} fft={fft}: sequential scores"
+            );
+            assert_eq!(
+                sequential
+                    .report
+                    .stage(Stage::TopK)
+                    .unwrap()
+                    .counters
+                    .kernel_evals,
+                reference
+                    .report
+                    .stage(Stage::TopK)
+                    .unwrap()
+                    .counters
+                    .kernel_evals,
+                "{name} fft={fft}: sequential evals"
+            );
+            for chunk in [ChunkSize::Auto, ChunkSize::Fixed(1), ChunkSize::Fixed(7)] {
                 // Counters may legitimately vary with the chunk knob
                 // (sched_items is defined by the partition), never with the
                 // thread count at a fixed chunking.
                 let same_chunk_ref =
                     Engine::from_config(&cfg.clone().with_threads(1).with_chunk_size(chunk))
-                        .run(&train)
+                        .run(train)
                         .unwrap();
-                for stage in Stage::ALL {
+                for threads in [1, 2, 4, 0] {
+                    let result = Engine::from_config(
+                        &cfg.clone().with_threads(threads).with_chunk_size(chunk),
+                    )
+                    .run(train)
+                    .unwrap();
+                    let tag = format!("{name} fft={fft} chunk={chunk:?} threads={threads}");
+                    assert_eq!(result.shapelets, reference.shapelets, "shapelets: {tag}");
+                    assert_eq!(bits(&result), bits(&reference), "scores: {tag}");
                     assert_eq!(
-                        result.report.stage(stage).unwrap().counters,
-                        same_chunk_ref.report.stage(stage).unwrap().counters,
-                        "{stage:?} counters depend on threads: {tag}"
+                        result.report.candidates_generated(),
+                        reference.report.candidates_generated(),
+                        "generated: {tag}"
                     );
+                    assert_eq!(
+                        result.report.candidates_pruned(),
+                        reference.report.candidates_pruned(),
+                        "pruned: {tag}"
+                    );
+                    for stage in Stage::ALL {
+                        assert_eq!(
+                            result.report.stage(stage).unwrap().counters,
+                            same_chunk_ref.report.stage(stage).unwrap().counters,
+                            "{stage:?} counters depend on threads: {tag}"
+                        );
+                    }
                 }
             }
         }

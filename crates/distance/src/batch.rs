@@ -22,7 +22,7 @@
 //! early-abandoning naive loops for short queries/series, where O(m·n)
 //! with abandoning beats O(N log N) constants.
 
-use crate::euclid::{sliding_min_dist, sliding_min_dist_znorm, znorm_dist_from_dot};
+use crate::euclid::{min_dist_znorm_prepared, sliding_min_dist, znorm_dist_from_dot};
 use crate::fft::{Complex, Fft};
 use crate::metric::Metric;
 use crate::rolling::RollingStats;
@@ -103,8 +103,15 @@ pub(crate) fn first_non_finite(xs: &[f64]) -> Option<usize> {
 /// the whole grid), so `MeanSquared` always stays naive under `Auto`.
 /// The z-norm loop computes every full dot product; its 4-lane unrolled
 /// form shifted the crossover upward, and the constant below was re-fit
-/// against `bench_kernel` on this container after that vectorization
-/// (kernel wins from roughly `n = 256, m = 64` on the batch path).
+/// against `bench_kernel` after that vectorization (kernel wins from
+/// roughly `n = 256, m = 64` on the batch path).
+///
+/// The constant **predates the fused two-window naive z-norm loop over
+/// prepared statistics**, which made the naive side 1.4–2.1× faster: the
+/// measured crossover now sits near `n = 512, m = 128`, and at
+/// `n = 256, m = 64` this model picks the kernel where the naive loop is
+/// faster. It is left as is on purpose — moving the crossover changes
+/// which path serves a request, and so changes distance bits.
 pub(crate) fn kernel_profitable(
     metric: Metric,
     m: usize,
@@ -125,11 +132,14 @@ pub(crate) fn kernel_profitable(
     naive > kernel
 }
 
-/// Per-series kernel state: the padded spectrum (built lazily on first
-/// kernel use), per-window-length rolling statistics, and a prefix-sum
-/// table of squares. The plan does **not** own the series; callers pass the
-/// same values to every method (the distance cache guarantees this by
-/// keying plans on a content hash).
+/// Per-series distance state shared by the FFT kernel and the naive
+/// z-norm loop: per-window-length rolling statistics (read by both paths),
+/// the padded spectrum (kernel only), and a prefix-sum table of squares
+/// (the `MeanSquared` kernel only). Everything is built lazily on first
+/// use, so planning a series that is probed once costs nothing extra. The
+/// plan does **not** own the series; callers pass the same values to every
+/// method (the distance cache guarantees this by keying plans on a content
+/// hash).
 #[derive(Debug, Clone)]
 pub struct SeriesPlan {
     n: usize,
@@ -140,28 +150,21 @@ pub struct SeriesPlan {
     stats: Vec<(usize, RollingStats)>,
     /// `sq_prefix[j] = Σ_{i<j} series[i]²`, so `Σ series[j..j+m]²` is one
     /// subtraction.
-    sq_prefix: Vec<f64>,
+    sq_prefix: Option<Vec<f64>>,
 }
 
 impl SeriesPlan {
-    /// Plans for `series`. O(n); the FFT itself is deferred until a kernel
-    /// evaluation actually needs the spectrum.
+    /// Plans for `series`. O(1): the statistics, the prefix table and the
+    /// FFT are deferred until an evaluation actually needs them.
     pub fn new(series: &[f64]) -> Self {
         let n = series.len();
         let fft_size = (2 * n).saturating_sub(1).max(1).next_power_of_two();
-        let mut sq_prefix = Vec::with_capacity(n + 1);
-        let mut acc = 0.0;
-        sq_prefix.push(0.0);
-        for &x in series {
-            acc += x * x;
-            sq_prefix.push(acc);
-        }
         Self {
             n,
             fft_size,
             spectrum: None,
             stats: Vec::new(),
-            sq_prefix,
+            sq_prefix: None,
         }
     }
 
@@ -191,9 +194,27 @@ impl SeriesPlan {
         &self.stats.last().unwrap().1
     }
 
-    #[inline]
-    fn window_sq_sum(&self, j: usize, m: usize) -> f64 {
-        self.sq_prefix[j + m] - self.sq_prefix[j]
+    fn ensure_sq_prefix(&mut self, series: &[f64]) -> &[f64] {
+        debug_assert_eq!(series.len(), self.n);
+        self.sq_prefix.get_or_insert_with(|| {
+            let mut sq_prefix = Vec::with_capacity(series.len() + 1);
+            let mut acc = 0.0;
+            sq_prefix.push(0.0);
+            for &x in series {
+                acc += x * x;
+                sq_prefix.push(acc);
+            }
+            sq_prefix
+        })
+    }
+
+    /// Naive z-normalized min-distance of one already-oriented query
+    /// (`q.len() ≤ n`, both non-empty) against the planned series: the
+    /// fused loop of [`crate::sliding_min_dist_znorm`] over this plan's
+    /// statistics for `query.len()`, so many queries of one length share
+    /// one statistics pass. Bit-identical to the unplanned call.
+    pub(crate) fn min_dist_znorm_naive(&mut self, series: &[f64], query: &[f64]) -> (f64, usize) {
+        min_dist_znorm_prepared(query, series, self.stats_for(series, query.len()))
     }
 
     /// Sliding dot products for up to two queries through **one** complex
@@ -257,10 +278,12 @@ impl SeriesPlan {
         match metric {
             Metric::MeanSquared => {
                 let q_sq: f64 = query.iter().map(|x| x * x).sum();
+                let sq_prefix = self.ensure_sq_prefix(series);
                 let mut best = f64::INFINITY;
                 let mut best_at = 0;
                 for (j, &dot) in dots.iter().enumerate() {
-                    let d = (q_sq - 2.0 * dot + self.window_sq_sum(j, m)) / m as f64;
+                    let window_sq = sq_prefix[j + m] - sq_prefix[j];
+                    let d = (q_sq - 2.0 * dot + window_sq) / m as f64;
                     // A NaN input poisons the convolution; skip the window
                     // exactly like the naive loop's strict `<` does instead
                     // of letting `max(NaN, 0.0)` collapse it to a perfect
@@ -303,13 +326,13 @@ impl SeriesPlan {
     }
 }
 
-/// Naive reference for one query, dispatching on the metric. Public within
-/// the crate so the cache's fallback path shares it.
+/// Naive reference for one query, dispatching on the metric (either
+/// argument order; no plan).
 #[inline]
 pub(crate) fn naive_min_dist(query: &[f64], series: &[f64], metric: Metric) -> (f64, usize) {
     match metric {
         Metric::MeanSquared => sliding_min_dist(query, series),
-        Metric::ZNormEuclidean => sliding_min_dist_znorm(query, series),
+        Metric::ZNormEuclidean => crate::euclid::sliding_min_dist_znorm(query, series),
     }
 }
 
@@ -348,14 +371,17 @@ pub fn batch_min_dist_with(
         _ => policy,
     };
     let mut out = vec![(f64::INFINITY, 0usize); queries.len()];
-    // Same power-of-two size SeriesPlan::new would pick; computed up front
-    // so an all-naive batch (every MeanSquared batch under Auto) never
-    // pays the plan's O(n) prefix-table allocation.
+    // Same power-of-two size SeriesPlan::new picks; computed up front for
+    // the crossover before any plan exists.
     let fft_size = (2 * series.len())
         .saturating_sub(1)
         .max(1)
         .next_power_of_two();
     let mut kernel_idx: Vec<usize> = Vec::new();
+    // Built on first use: the naive z-norm loop reads its window statistics
+    // (one pass per query length for the whole batch), the kernel its
+    // spectrum. An all-`MeanSquared` batch never builds it.
+    let mut plan: Option<SeriesPlan> = None;
     // One-entry memo for the Auto decision: every cost-model input except
     // the query length is loop-invariant, and batches overwhelmingly share
     // a single length (IPS draws per length-ratio), so this removes the
@@ -379,6 +405,10 @@ pub fn batch_min_dist_with(
             };
         if use_kernel {
             kernel_idx.push(i);
+        } else if eligible && metric == Metric::ZNormEuclidean {
+            out[i] = plan
+                .get_or_insert_with(|| SeriesPlan::new(series))
+                .min_dist_znorm_naive(series, q);
         } else if !q.is_empty() && !series.is_empty() {
             out[i] = naive_min_dist(q, series, metric);
         } // else: keep (INF, 0), the empty-input convention
@@ -386,7 +416,7 @@ pub fn batch_min_dist_with(
     if kernel_idx.is_empty() {
         return out;
     }
-    let mut plan = SeriesPlan::new(series);
+    let plan = plan.get_or_insert_with(|| SeriesPlan::new(series));
     let fft = Fft::new(plan.fft_size());
     for pair in kernel_idx.chunks(2) {
         let q1 = queries[pair[0]];

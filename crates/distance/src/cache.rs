@@ -3,10 +3,12 @@
 //! [`DistCache`] answers [`DistCache::min_dist`] queries while remembering
 //! two kinds of work:
 //!
-//! * **FFT plans** — one [`SeriesPlan`] per distinct series (so its padded
-//!   spectrum, rolling statistics, and prefix sums are computed once no
-//!   matter how many candidates probe it), plus one [`Fft`] twiddle table
-//!   per transform size, shared across series of similar length.
+//! * **Series plans** — one [`SeriesPlan`] per distinct series, so its
+//!   rolling window statistics (read by the naive z-norm loop and the FFT
+//!   kernel alike), padded spectrum, and prefix sums are computed at most
+//!   once per series (statistics: once per query length) no matter how
+//!   many candidates probe it, plus one [`Fft`] twiddle table per
+//!   transform size, shared across series of similar length.
 //! * **Results** — a `(query, series, metric) → (dist, offset)` memo, so
 //!   a candidate scored against the same instance by a later stage (or by
 //!   the shapelet transform after discovery) is a hash lookup.
@@ -24,7 +26,8 @@
 
 use std::collections::HashMap;
 
-use crate::batch::{first_non_finite, kernel_profitable, naive_min_dist, KernelPolicy, SeriesPlan};
+use crate::batch::{first_non_finite, kernel_profitable, KernelPolicy, SeriesPlan};
+use crate::euclid::sliding_min_dist;
 use crate::fft::Fft;
 use crate::metric::Metric;
 
@@ -87,43 +90,72 @@ impl CacheStats {
     }
 }
 
-/// `(len, h1, h2)` — content identity of a slice.
-type Key = (usize, u64, u64);
+/// Content identity of one slice: its length plus two independent 64-bit
+/// FNV-1a-style chains over the raw bit patterns. Deterministic across
+/// runs (no `RandomState`), cheap, and 128 bits of separation between
+/// distinct contents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SliceKey(usize, u64, u64);
+
+impl SliceKey {
+    /// Hashes the content of `xs`.
+    pub fn of(xs: &[f64]) -> Self {
+        let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h2: u64 = 0x9e37_79b9_7f4a_7c15 ^ (xs.len() as u64);
+        for &x in xs {
+            let b = x.to_bits();
+            h1 = (h1 ^ b).wrapping_mul(0x0000_0100_0000_01b3);
+            h2 = (h2 ^ b.rotate_left(17)).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+        }
+        SliceKey(xs.len(), h1, h2)
+    }
+}
 
 /// Content identity of an oriented `(query, series, metric)` request —
 /// exactly the key [`DistCache`] memoizes results under. Exposed (via
-/// [`min_dist_key`]) so callers that batch requests — the engine's
-/// work-item scheduler — can deduplicate a request list against the
-/// cache's own notion of identity: requests with equal keys are the ones
-/// a sequential memo would serve as one eval plus hits.
+/// [`min_dist_key`] and [`MinDistKey::oriented`]) so callers that batch
+/// requests — the engine's work-item scheduler — can deduplicate a
+/// request list against the cache's own notion of identity: requests with
+/// equal keys are the ones a sequential memo would serve as one eval plus
+/// hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MinDistKey(Key, Key, Metric);
+pub struct MinDistKey(SliceKey, SliceKey, Metric);
+
+impl MinDistKey {
+    /// The key of an already-oriented request (`q.len() ≤ s.len()`) from
+    /// the keys of its two slices — for callers that hash each distinct
+    /// slice once and reuse it across many requests. Equal to
+    /// [`min_dist_key`]`(q, s, metric)`.
+    pub fn oriented(q: SliceKey, s: SliceKey, metric: Metric) -> Self {
+        debug_assert!(q.0 <= s.0, "query longer than series");
+        MinDistKey(q, s, metric)
+    }
+
+    /// Identity of the request's series side — the longer slice, whose
+    /// [`SeriesPlan`] the cache keys by this value.
+    pub fn series(&self) -> SliceKey {
+        self.1
+    }
+}
 
 /// The memo key a [`DistCache::min_dist`] call with these arguments files
 /// under: arguments are oriented (shorter slides over longer) and content
 /// hashed, so equal-valued slices in different allocations — and the two
 /// argument orders — map to the same key.
 pub fn min_dist_key(query: &[f64], series: &[f64], metric: Metric) -> MinDistKey {
-    let (q, s) = if query.len() <= series.len() {
+    let (q, s) = orient(query, series);
+    MinDistKey(SliceKey::of(q), SliceKey::of(s), metric)
+}
+
+/// `(shorter, longer)` — the shorter slice slides over the longer; on
+/// equal lengths the argument order is kept.
+#[inline]
+fn orient<'a>(query: &'a [f64], series: &'a [f64]) -> (&'a [f64], &'a [f64]) {
+    if query.len() <= series.len() {
         (query, series)
     } else {
         (series, query)
-    };
-    MinDistKey(content_key(q), content_key(s), metric)
-}
-
-fn content_key(xs: &[f64]) -> Key {
-    // Two independent FNV-1a-style chains over the raw bit patterns.
-    // Deterministic across runs (no RandomState), cheap, and 128 bits of
-    // separation between distinct contents.
-    let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut h2: u64 = 0x9e37_79b9_7f4a_7c15 ^ (xs.len() as u64);
-    for &x in xs {
-        let b = x.to_bits();
-        h1 = (h1 ^ b).wrapping_mul(0x0000_0100_0000_01b3);
-        h2 = (h2 ^ b.rotate_left(17)).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
     }
-    (xs.len(), h1, h2)
 }
 
 /// Memoizing distance layer. See the module docs.
@@ -131,7 +163,7 @@ fn content_key(xs: &[f64]) -> Key {
 pub struct DistCache {
     policy: KernelPolicy,
     ffts: HashMap<usize, Fft>,
-    plans: HashMap<Key, SeriesPlan>,
+    plans: HashMap<SliceKey, SeriesPlan>,
     memo: HashMap<MinDistKey, (f64, usize)>,
     stats: CacheStats,
     /// When `Some`, every kernel-path attempt is treated as failed and
@@ -195,18 +227,29 @@ impl DistCache {
     /// memo is keyed on the oriented pair so both orders hit), empty input
     /// yields `(f64::INFINITY, 0)`, and the offset is the first argmin.
     pub fn min_dist(&mut self, query: &[f64], series: &[f64], metric: Metric) -> (f64, usize) {
-        let (q, s) = if query.len() <= series.len() {
-            (query, series)
-        } else {
-            (series, query)
-        };
-        let key = MinDistKey(content_key(q), content_key(s), metric);
+        let (q, s) = orient(query, series);
+        self.min_dist_keyed(min_dist_key(q, s, metric), q, s)
+    }
+
+    /// [`DistCache::min_dist`] for an already-oriented request
+    /// (`q.len() ≤ s.len()`) whose memo key the caller already holds —
+    /// `key` must equal [`min_dist_key`]`(q, s, metric)`, typically built
+    /// with [`MinDistKey::oriented`] from slice keys hashed once. Skips the
+    /// two content hashes per request; counters and results are exactly
+    /// those of `min_dist(q, s, metric)`.
+    pub fn min_dist_keyed(&mut self, key: MinDistKey, q: &[f64], s: &[f64]) -> (f64, usize) {
+        debug_assert_eq!(
+            key,
+            min_dist_key(q, s, key.2),
+            "key does not match the request"
+        );
+        debug_assert!(q.len() <= s.len(), "request is not oriented");
         if let Some(&hit) = self.memo.get(&key) {
             self.stats.cache_hits += 1;
             return hit;
         }
         self.stats.kernel_evals += 1;
-        let result = self.compute(q, s, metric, key.1);
+        let result = self.compute(q, s, key.2, key.1);
         self.memo.insert(key, result);
         result
     }
@@ -220,7 +263,7 @@ impl DistCache {
         self.stats.cache_hits += n;
     }
 
-    fn compute(&mut self, q: &[f64], s: &[f64], metric: Metric, ks: Key) -> (f64, usize) {
+    fn compute(&mut self, q: &[f64], s: &[f64], metric: Metric, ks: SliceKey) -> (f64, usize) {
         if q.is_empty() || s.is_empty() {
             return (f64::INFINITY, 0);
         }
@@ -235,7 +278,7 @@ impl DistCache {
             }
         };
         if !use_kernel {
-            return naive_min_dist(q, s, metric);
+            return self.naive(q, s, metric, ks);
         }
         // Graceful degradation: the FFT path cannot serve poisoned input
         // (one NaN poisons the whole spectrum, losing the naive loop's
@@ -247,7 +290,7 @@ impl DistCache {
             || first_non_finite(s).is_some()
         {
             self.stats.kernel_fallbacks += 1;
-            return naive_min_dist(q, s, metric);
+            return self.naive(q, s, metric, ks);
         }
         let plan = self.plans.entry(ks).or_insert_with(|| SeriesPlan::new(s));
         let fft = self
@@ -255,6 +298,21 @@ impl DistCache {
             .entry(plan.fft_size())
             .or_insert_with(|| Fft::new(plan.fft_size()));
         plan.min_dist_one(fft, s, q, metric)
+    }
+
+    /// The naive loops: the early-abandoning `MeanSquared` scan needs no
+    /// series state; the z-norm loop reads the series plan's window
+    /// statistics, so every query of one length against one series shares
+    /// a single statistics pass.
+    fn naive(&mut self, q: &[f64], s: &[f64], metric: Metric, ks: SliceKey) -> (f64, usize) {
+        match metric {
+            Metric::MeanSquared => sliding_min_dist(q, s),
+            Metric::ZNormEuclidean => self
+                .plans
+                .entry(ks)
+                .or_insert_with(|| SeriesPlan::new(s))
+                .min_dist_znorm_naive(s, q),
+        }
     }
 
     /// Merges `other` into `self`: memo entries, FFT plans, and counters.
@@ -278,7 +336,8 @@ impl DistCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::euclid::{sliding_min_dist, sliding_min_dist_znorm};
+    use crate::batch::naive_min_dist;
+    use crate::euclid::sliding_min_dist_znorm;
 
     fn series(n: usize) -> Vec<f64> {
         (0..n)

@@ -96,6 +96,41 @@ pub(crate) fn dot4(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
+/// [`dot4`] of `q` against the two adjacent windows `w[..m]` and
+/// `w[1..=m]` (`w.len() == m + 1`) in one pass: each query element is
+/// loaded once for both windows, and each window accumulates in its own
+/// four lanes with [`dot4`]'s exact lane assignment and combine order, so
+/// both results are bit-identical to two separate [`dot4`] calls.
+#[inline]
+fn dot4_pair(q: &[f64], w: &[f64]) -> (f64, f64) {
+    let m = q.len();
+    debug_assert_eq!(w.len(), m + 1);
+    let (w0, w1) = (&w[..m], &w[1..]);
+    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let (mut b0, mut b1, mut b2, mut b3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let mut i = 0;
+    while i + 4 <= m {
+        let (q0, q1, q2, q3) = (q[i], q[i + 1], q[i + 2], q[i + 3]);
+        a0 += q0 * w0[i];
+        a1 += q1 * w0[i + 1];
+        a2 += q2 * w0[i + 2];
+        a3 += q3 * w0[i + 3];
+        b0 += q0 * w1[i];
+        b1 += q1 * w1[i + 1];
+        b2 += q2 * w1[i + 2];
+        b3 += q3 * w1[i + 3];
+        i += 4;
+    }
+    let mut acc0 = (a0 + a1) + (a2 + a3);
+    let mut acc1 = (b0 + b1) + (b2 + b3);
+    while i < m {
+        acc0 += q[i] * w0[i];
+        acc1 += q[i] * w1[i];
+        i += 1;
+    }
+    (acc0, acc1)
+}
+
 /// Euclidean distance between two equal-length slices.
 #[inline]
 pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
@@ -155,7 +190,10 @@ pub fn sliding_min_dist(query: &[f64], series: &[f64]) -> (f64, usize) {
 }
 
 /// Z-normalized variant of [`sliding_min_dist`]: both the query and every
-/// window are z-normalized before comparison. Returns `(min_dist, offset)`.
+/// window are z-normalized before comparison. Returns `(min_dist, offset)`
+/// on the mean-squared scale (`z-ED² / m`), bit-identical to the minimum
+/// of [`dist_profile_znorm`] under [`argmin`] (the reference oracle pinned
+/// by `tests/kernel_props.rs`), but without materializing the profile.
 pub fn sliding_min_dist_znorm(query: &[f64], series: &[f64]) -> (f64, usize) {
     let (q, s) = if query.len() <= series.len() {
         (query, series)
@@ -165,11 +203,63 @@ pub fn sliding_min_dist_znorm(query: &[f64], series: &[f64]) -> (f64, usize) {
     if q.is_empty() || s.is_empty() {
         return (f64::INFINITY, 0);
     }
-    let profile = dist_profile_znorm(q, s);
-    argmin(&profile).map_or((f64::INFINITY, 0), |(i, d)| {
-        // convert squared z-ED to mean squared difference for comparability
-        (d * d / q.len() as f64, i)
-    })
+    min_dist_znorm_prepared(q, s, &RollingStats::new(s, q.len()))
+}
+
+/// The z-normalized sliding minimum over prepared series statistics:
+/// `q` is already oriented and non-empty (`q.len() ≤ s.len()`), and
+/// `stats` must be `RollingStats::new(s, q.len())` — callers that probe
+/// one series with many queries (the distance cache's [`SeriesPlan`])
+/// build it once per window length instead of once per request.
+///
+/// One allocation-free pass scores **two adjacent windows** per step,
+/// sharing the query loads. Each window's dot product keeps [`dot4`]'s
+/// exact lane assignment and combine order `(a0 + a1) + (a2 + a3) + tail`,
+/// and each goes through [`znorm_dist_from_dot`] with the same statistics
+/// [`dist_profile_znorm`] uses, so every per-window distance has the
+/// profile's bits. The strict `<` scan from `+∞` keeps the first minimum
+/// — [`argmin`]'s tie rule, which also skips nothing here because
+/// [`znorm_dist_from_dot`] never returns NaN (non-finite → `+∞`).
+///
+/// [`SeriesPlan`]: crate::SeriesPlan
+pub(crate) fn min_dist_znorm_prepared(q: &[f64], s: &[f64], stats: &RollingStats) -> (f64, usize) {
+    let m = q.len();
+    debug_assert!(m > 0 && m <= s.len());
+    debug_assert_eq!(stats.window(), m);
+    debug_assert_eq!(stats.len(), s.len() - m + 1);
+    let mu_q = q.iter().sum::<f64>() / m as f64;
+    let sd_q = {
+        let v = q.iter().map(|x| (x - mu_q) * (x - mu_q)).sum::<f64>() / m as f64;
+        v.sqrt()
+    };
+    let (means, stds) = (stats.means(), stats.stds());
+    let n_out = means.len();
+    let mut best = f64::INFINITY;
+    let mut best_at = 0;
+    let mut j = 0;
+    while j + 2 <= n_out {
+        let (dot0, dot1) = dot4_pair(q, &s[j..j + m + 1]);
+        let d0 = znorm_dist_from_dot(dot0, m, mu_q, sd_q, means[j], stds[j]);
+        let d1 = znorm_dist_from_dot(dot1, m, mu_q, sd_q, means[j + 1], stds[j + 1]);
+        if d0 < best {
+            best = d0;
+            best_at = j;
+        }
+        if d1 < best {
+            best = d1;
+            best_at = j + 1;
+        }
+        j += 2;
+    }
+    if j < n_out {
+        let d = znorm_dist_from_dot(dot4(q, &s[j..j + m]), m, mu_q, sd_q, means[j], stds[j]);
+        if d < best {
+            best = d;
+            best_at = j;
+        }
+    }
+    // convert squared z-ED to mean squared difference for comparability
+    (best * best / m as f64, best_at)
 }
 
 /// Distance profile of `query` against every window of `series`, using the

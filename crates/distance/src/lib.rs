@@ -33,7 +33,7 @@ pub use batch::{
     batch_min_dist, batch_min_dist_checked, batch_min_dist_with, KernelError, KernelPolicy,
     SeriesPlan,
 };
-pub use cache::{min_dist_key, CacheStats, DistCache, MinDistKey};
+pub use cache::{min_dist_key, CacheStats, DistCache, MinDistKey, SliceKey};
 pub use dtw::{dtw, dtw_banded, lb_keogh, DtwOptions};
 pub use euclid::{
     argmax, argmin, dist_profile, dist_profile_znorm, euclidean, is_constant_sigma, mean_sq_dist,

@@ -20,6 +20,12 @@
 //!   equality is deliberately not asserted: on inputs with exactly tied
 //!   windows — e.g. a flat series under `MeanSquared`, where every window
 //!   is equidistant — FFT rounding may pick a different member of the tie.)
+//! * **Fused z-norm loop**: `sliding_min_dist_znorm` (one allocation-free
+//!   pass, two windows per step, over prepared window statistics) is
+//!   *bit-identical* — value bits and offset — to the reference oracle
+//!   `dist_profile_znorm` + `argmin`, exact ties and NaN included; and a
+//!   `DistCache` that serves many queries from one series plan returns the
+//!   same bits as the unplanned call.
 //! * **Zero-σ convention** (owned by `znorm_dist_from_dot`, shared by the
 //!   naive profile, MASS, and the kernel): both sides constant → distance
 //!   exactly `0`; exactly one side constant → z-ED exactly `√m`, i.e.
@@ -28,8 +34,8 @@
 //!   a strict `<` argmin scan, which never accepts NaN).
 
 use ips_distance::{
-    batch_min_dist_with, mass, mean_sq_dist, sliding_min_dist, sliding_min_dist_znorm, DistCache,
-    KernelPolicy, Metric,
+    argmin, batch_min_dist_with, dist_profile_znorm, mass, mean_sq_dist, min_dist_key,
+    sliding_min_dist, sliding_min_dist_znorm, DistCache, KernelPolicy, Metric,
 };
 
 /// splitmix64 — deterministic, seedable, no dependencies.
@@ -57,6 +63,12 @@ impl Gen {
 
     fn vec(&mut self, len: usize) -> Vec<f64> {
         (0..len).map(|_| self.value()).collect()
+    }
+
+    /// Values snapped to a coarse grid (`{-2, …, 2}`), so distinct windows
+    /// often have exactly equal distances — the tie rule's test bed.
+    fn grid_vec(&mut self, len: usize) -> Vec<f64> {
+        (0..len).map(|_| self.usize_in(0, 4) as f64 - 2.0).collect()
     }
 }
 
@@ -267,5 +279,152 @@ fn query_longer_than_series_follows_swap_semantics() {
         let out = batch_min_dist_with(&[&q], &s, metric, KernelPolicy::ForceKernel)[0];
         let reference = naive(&q, &s, metric);
         assert!(close(out.0, reference.0), "{metric:?}");
+    }
+}
+
+// ---- the fused z-norm loop against its reference oracle ----
+
+/// The reference the fused loop replaced: the full z-normalized profile,
+/// its first NaN-skipping [`argmin`], converted to the mean-squared scale.
+fn profile_argmin(q: &[f64], s: &[f64]) -> (f64, usize) {
+    let (q, s) = if q.len() <= s.len() { (q, s) } else { (s, q) };
+    if q.is_empty() {
+        return (f64::INFINITY, 0);
+    }
+    argmin(&dist_profile_znorm(q, s))
+        .map_or((f64::INFINITY, 0), |(i, d)| (d * d / q.len() as f64, i))
+}
+
+fn assert_bit_identical(got: (f64, usize), want: (f64, usize), tag: &str) {
+    assert!(
+        got.0.to_bits() == want.0.to_bits() && got.1 == want.1,
+        "{tag}: fused ({:e}, {}) vs profile+argmin ({:e}, {})",
+        got.0,
+        got.1,
+        want.0,
+        want.1
+    );
+}
+
+#[test]
+fn fused_znorm_loop_is_bit_identical_to_the_profile_argmin() {
+    for case in 0..cases() {
+        let mut g = Gen(0xF05E ^ (case as u64) << 1);
+        let n = g.usize_in(1, 64);
+        // a quarter of the cases draw from a coarse grid (exact ties)
+        let mut s = if case % 4 == 0 {
+            g.grid_vec(n)
+        } else {
+            g.vec(n)
+        };
+        // a planted exactly-constant run in every third series
+        if case % 3 == 0 && n > 1 {
+            let at = g.usize_in(0, n - 1);
+            let run = g.usize_in(1, n - at);
+            let level = g.value();
+            s[at..at + run].fill(level);
+        }
+        // window lengths: 1, n, and in between — n − m + 1 windows is then
+        // both odd and even across cases (the two-window loop's tail)
+        let m = match case % 5 {
+            0 => 1,
+            1 => n,
+            _ => g.usize_in(1, n),
+        };
+        let q = match case % 7 {
+            0 => vec![g.value(); m],
+            1 => g.grid_vec(m),
+            _ => g.vec(m),
+        };
+        let tag = format!("case {case} (n={n}, m={m})");
+        for (a, b) in [(&q, &s), (&s, &q)] {
+            assert_bit_identical(sliding_min_dist_znorm(a, b), profile_argmin(a, b), &tag);
+        }
+        // a NaN poisons the windows touching it (and a NaN query, all of
+        // them): those lose the argmin to `+∞`, never win it
+        let mut poisoned = s.clone();
+        poisoned[g.usize_in(0, n - 1)] = f64::NAN;
+        assert_bit_identical(
+            sliding_min_dist_znorm(&q, &poisoned),
+            profile_argmin(&q, &poisoned),
+            &format!("{tag} NaN series"),
+        );
+        let mut bad_q = q.clone();
+        bad_q[g.usize_in(0, m - 1)] = f64::NAN;
+        assert_bit_identical(
+            sliding_min_dist_znorm(&bad_q, &s),
+            profile_argmin(&bad_q, &s),
+            &format!("{tag} NaN query"),
+        );
+    }
+}
+
+/// One series probed by many queries of mixed lengths, in both argument
+/// orders, through one cache — so the series plan's window statistics
+/// serve every query of a length after the first. Each answer must carry
+/// the unplanned call's bits, and the shared cache must count exactly
+/// what fresh caches would (one eval per distinct oriented request, a hit
+/// per repeat).
+#[test]
+fn planned_cache_znorm_matches_the_unplanned_loop_bit_for_bit() {
+    for case in 0..cases().min(64) {
+        let mut g = Gen(0x5EED ^ (case as u64) << 1);
+        // below the kernel crossover's n ≥ 128, so `Auto` serves every
+        // request with the naive loop, exactly as `ForceNaive` does
+        let n = g.usize_in(8, 127);
+        let s = if case % 4 == 0 {
+            g.grid_vec(n)
+        } else {
+            g.vec(n)
+        };
+        let lengths = [1, 2, g.usize_in(3, n), g.usize_in(3, n), n];
+        let queries: Vec<Vec<f64>> = (0..12)
+            .map(|i| {
+                let m = lengths[g.usize_in(0, lengths.len() - 1)];
+                if i % 5 == 4 {
+                    vec![g.value(); m]
+                } else if i % 3 == 2 {
+                    // a window of the series itself: an exact match
+                    let at = g.usize_in(0, n - m);
+                    s[at..at + m].to_vec()
+                } else {
+                    g.vec(m)
+                }
+            })
+            .collect();
+        for policy in [KernelPolicy::Auto, KernelPolicy::ForceNaive] {
+            let mut shared = DistCache::with_policy(policy);
+            let mut distinct = std::collections::HashSet::new();
+            let mut requests = 0;
+            // two rounds: the second is served from the memo
+            for round in 0..2 {
+                for (i, q) in queries.iter().enumerate() {
+                    let (a, b) = if (i + round) % 2 == 0 {
+                        (q.as_slice(), s.as_slice())
+                    } else {
+                        (s.as_slice(), q.as_slice())
+                    };
+                    let tag = format!("case {case} {policy:?} round {round} query {i}");
+                    let want = sliding_min_dist_znorm(a, b);
+                    assert_bit_identical(shared.min_dist(a, b, Metric::ZNormEuclidean), want, &tag);
+                    let mut fresh = DistCache::with_policy(policy);
+                    assert_bit_identical(fresh.min_dist(a, b, Metric::ZNormEuclidean), want, &tag);
+                    assert_eq!(
+                        (fresh.stats().kernel_evals, fresh.stats().cache_hits),
+                        (1, 0)
+                    );
+                    distinct.insert(min_dist_key(a, b, Metric::ZNormEuclidean));
+                    requests += 1;
+                }
+            }
+            let st = shared.stats();
+            assert_eq!(st.kernel_evals, distinct.len(), "case {case} {policy:?}");
+            assert_eq!(
+                st.cache_hits,
+                requests - distinct.len(),
+                "case {case} {policy:?}"
+            );
+            assert_eq!(st.kernel_fallbacks, 0, "case {case} {policy:?}");
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! classes" (Section III-D).
 
 use ips_lsh::embed;
-use ips_profile::{InstanceProfile, Metric};
+use ips_profile::{InstanceProfile, Metric, PairTable};
 use ips_tsdata::{ClassConcat, Dataset};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -202,6 +202,26 @@ pub fn generate_sample(
     sample_idx: usize,
     config: &IpsConfig,
 ) -> Vec<Candidate> {
+    sample_candidates(
+        train,
+        class,
+        sample_idx,
+        config,
+        &PairTable::new(config.metric),
+    )
+}
+
+/// [`generate_sample`] with its instance profiles built from `pairs`, a
+/// table of pair joins over `train` shared with other samples (see
+/// [`crate::engine::ProfileCandidateSource`]). The candidates are the same
+/// whatever the table already holds.
+pub(crate) fn sample_candidates(
+    train: &Dataset,
+    class: u32,
+    sample_idx: usize,
+    config: &IpsConfig,
+    pairs: &PairTable,
+) -> Vec<Candidate> {
     let members = train.class_indices(class);
     if members.is_empty() {
         return Vec::new();
@@ -216,7 +236,13 @@ pub fn generate_sample(
         .unwrap_or(0);
     let mut out = Vec::new();
     for len in config.lengths_for(n) {
-        extract_motif_discord(&concat, len, class, config, &mut out);
+        extract_motif_discord(
+            &pairs.profile(&concat, len),
+            &concat,
+            class,
+            config,
+            &mut out,
+        );
     }
     out
 }
@@ -232,10 +258,11 @@ fn sample_seed(seed: u64, class: u32, sample_idx: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Draws `q_s` distinct instances (all of them when the class is smaller),
-/// in random order.
+/// Draws `q_s` distinct instances (at least 2, all of them when the class
+/// is smaller), in random order. A one-instance class yields a one-instance
+/// sample, whose profile has no finite value and so no candidate.
 fn draw_sample(members: &[usize], q_s: usize, rng: &mut StdRng) -> Vec<usize> {
-    let take = q_s.clamp(2, members.len().max(1));
+    let take = q_s.max(2).min(members.len());
     let mut shuffled = members.to_vec();
     shuffled.shuffle(rng);
     shuffled.truncate(take);
@@ -243,13 +270,13 @@ fn draw_sample(members: &[usize], q_s: usize, rng: &mut StdRng) -> Vec<usize> {
 }
 
 fn extract_motif_discord(
+    ip: &InstanceProfile,
     concat: &ClassConcat,
-    len: usize,
     class: u32,
     config: &IpsConfig,
     out: &mut Vec<Candidate>,
 ) {
-    let ip = InstanceProfile::compute(concat, len, config.metric);
+    let len = ip.window();
     let mut push = |entry: ips_profile::ProfileEntry, kind: CandidateKind| {
         let values = concat.values()[entry.start..entry.start + len].to_vec();
         let (inst, offset) = concat.to_instance_coords(entry.start);
@@ -265,10 +292,10 @@ fn extract_motif_discord(
         });
     };
     let m = config.motifs_per_sample.max(1);
-    for entry in top_entries(&ip, m, len / 2, false) {
+    for entry in top_entries(ip, m, len / 2, false) {
         push(entry, CandidateKind::Motif);
     }
-    for entry in top_entries(&ip, m, len / 2, true) {
+    for entry in top_entries(ip, m, len / 2, true) {
         push(entry, CandidateKind::Discord);
     }
 }
@@ -314,7 +341,8 @@ pub type ProfileMetric = Metric;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ips_tsdata::{DatasetSpec, SynthGenerator};
+    use crate::{Engine, IpsClassifier, IpsError};
+    use ips_tsdata::{DatasetSpec, SynthGenerator, TimeSeries};
 
     fn small_config() -> IpsConfig {
         let mut cfg = IpsConfig::default().with_sampling(4, 3).with_seed(7);
@@ -418,6 +446,32 @@ mod tests {
         let cfg = IpsConfig::default().with_sampling(3, 50);
         let pool = generate_candidates(&train, &cfg);
         assert!(!pool.is_empty());
+    }
+
+    #[test]
+    fn a_one_instance_class_yields_no_candidates_and_never_panics() {
+        let base = train();
+        let mut series: Vec<TimeSeries> = (0..base.len()).map(|i| base.series(i).clone()).collect();
+        let mut labels: Vec<u32> = (0..base.len()).map(|i| base.label(i)).collect();
+        series.push(base.series(0).clone());
+        labels.push(2);
+        let train = Dataset::new(series, labels).unwrap();
+        let cfg = small_config();
+        let pool = generate_candidates(&train, &cfg);
+        assert_eq!(pool.classes(), vec![0, 1]);
+        let mut shapelets = Vec::new();
+        for threads in [1, 2] {
+            let cfg = cfg.clone().with_threads(threads);
+            let run = Engine::from_config(&cfg).run(&train).unwrap();
+            assert_eq!(run.report.candidates_generated(), pool.len());
+            shapelets.push(run.shapelets);
+            match IpsClassifier::fit(&train, cfg) {
+                Err(IpsError::InvalidTrainingSet(msg)) => assert!(msg.contains("class 2"), "{msg}"),
+                Err(e) => panic!("threads={threads}: {e}"),
+                Ok(_) => panic!("threads={threads}: a one-instance class must be rejected"),
+            }
+        }
+        assert_eq!(shapelets[0], shapelets[1]);
     }
 
     #[test]

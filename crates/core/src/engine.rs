@@ -48,9 +48,10 @@ use ips_classify::Shapelet;
 use ips_distance::{CacheStats, DistCache};
 use ips_filter::Dabf;
 use ips_obs::{MetricsRegistry, MetricsSnapshot, RunRecord};
+use ips_profile::PairTable;
 use ips_tsdata::Dataset;
 
-use crate::candidates::{generate_sample, CandidatePool};
+use crate::candidates::{sample_candidates, CandidatePool};
 use crate::config::IpsConfig;
 use crate::error::IpsError;
 use crate::fault::FaultPlan;
@@ -1001,9 +1002,14 @@ fn guard<T>(stage: Stage, f: impl FnOnce() -> Result<T, IpsError>) -> Result<T, 
 /// one *(class, sample)* pair, so generation fans out across the whole
 /// [`WorkerPool`] even on a 2-class dataset. Bit-identical to the
 /// sequential [`crate::candidates::generate_candidates`] at any worker
-/// count and chunk size: [`generate_sample`] derives each pair's RNG
-/// stream from `(seed, class, sample)`, and items merge in class-major,
-/// sample order ([`TaskPartition::run`] preserves item order).
+/// count and chunk size: each sample derives its RNG stream from `(seed,
+/// class, sample)`, and items merge in class-major, sample order
+/// ([`TaskPartition::run`] preserves item order).
+///
+/// The stage owns one [`PairTable`]: a class's samples overlap, so each
+/// instance pair is joined once per length for the whole stage instead of
+/// once per sample that draws it, and a profile built from the table is
+/// bit-identical to one computed alone.
 pub struct ProfileCandidateSource {
     config: IpsConfig,
 }
@@ -1021,11 +1027,18 @@ impl CandidateSource for ProfileCandidateSource {
         let units = vec![self.config.num_samples.max(1); classes.len()];
         let partition = TaskPartition::new(&units, self.config.chunk_size);
         ctx.note_sched_items(Stage::CandidateGen, partition.len());
+        let pairs = PairTable::new(self.config.metric);
         let per_item = partition.run(&ctx.workers(), |item| {
             let class = classes[item.class_idx];
             let mut out = Vec::new();
             for sample_idx in item.start..item.end {
-                out.extend(generate_sample(train, class, sample_idx, &self.config));
+                out.extend(sample_candidates(
+                    train,
+                    class,
+                    sample_idx,
+                    &self.config,
+                    &pairs,
+                ));
             }
             out
         });

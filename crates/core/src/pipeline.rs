@@ -64,7 +64,9 @@ pub struct IpsClassifier {
 
 impl IpsClassifier {
     /// Discovers shapelets on `train` and fits the SVM over the
-    /// transformed features.
+    /// transformed features. A training set with fewer than two classes,
+    /// or with a class of one instance, is an
+    /// [`IpsError::InvalidTrainingSet`].
     pub fn fit(train: &Dataset, config: IpsConfig) -> Result<Self, IpsError> {
         // Fail fast with typed errors before any stage spends work: the
         // config knobs, then the data itself (NaN/Inf, empty series).
@@ -74,6 +76,17 @@ impl IpsClassifier {
             return Err(IpsError::InvalidTrainingSet(
                 "need at least two classes".into(),
             ));
+        }
+        // Algorithm 1 profiles samples of at least two instances of a
+        // class, so a one-instance class would get no shapelet of its own.
+        if let Some(class) = train
+            .classes()
+            .into_iter()
+            .find(|&c| train.class_indices(c).len() < 2)
+        {
+            return Err(IpsError::InvalidTrainingSet(format!(
+                "class {class} has one training instance; IPS samples at least two per class"
+            )));
         }
         let znorm = config.znorm_transform;
         let svm_params = SvmParams {

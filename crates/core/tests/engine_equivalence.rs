@@ -6,10 +6,11 @@
 
 use std::time::Duration;
 
-use ips_core::engine::{CollectingObserver, Stage};
+use ips_core::engine::{CollectingObserver, ProfileCandidateSource, Stage};
 use ips_core::{
-    build_dabf, generate_candidates, prune_naive, prune_with_dabf, select_top_k, CandidateSampling,
-    ChunkSize, DiscoveryBudget, Engine, IpsConfig, TopKStrategy,
+    build_dabf, generate_candidates, prune_naive, prune_with_dabf, select_top_k, CandidateKind,
+    CandidatePool, CandidateSampling, CandidateSource, ChunkSize, DiscoveryBudget, Engine,
+    ExecContext, IpsConfig, TopKStrategy, WorkerPool,
 };
 use ips_tsdata::{registry, Dataset, DatasetSpec, SynthGenerator};
 
@@ -391,6 +392,51 @@ fn engine_is_bit_identical_across_threads_and_chunk_sizes() {
             }
         }
     }
+
+    // Heavy pair reuse: CBF's classes hold 10 instances, so the default 10
+    // samples of 5 share most instance pairs through the stage's pair
+    // table, and concurrent workers race on the same pair join.
+    let (cbf, _) = registry::load("CBF").unwrap();
+    let cfg = IpsConfig::default();
+    let unshared = pool_bits(&generate_candidates(&cbf, &cfg));
+    let reference = Engine::from_config(&cfg).run(&cbf).unwrap();
+    let bits = |r: &ips_core::DiscoveryResult| -> Vec<u64> {
+        r.shapelets.iter().map(|s| s.score.to_bits()).collect()
+    };
+    for chunk in [ChunkSize::Auto, ChunkSize::Fixed(1), ChunkSize::Fixed(7)] {
+        for threads in [1, 2, 4, 0] {
+            let cfg = cfg.clone().with_threads(threads).with_chunk_size(chunk);
+            let tag = format!("CBF chunk={chunk:?} threads={threads}");
+            let mut ctx = ExecContext::new(WorkerPool::new(threads));
+            let pool = ProfileCandidateSource::new(cfg.clone())
+                .generate(&cbf, &mut ctx)
+                .unwrap();
+            assert!(pool_bits(&pool) == unshared, "candidate pool: {tag}");
+            let result = Engine::from_config(&cfg).run(&cbf).unwrap();
+            assert_eq!(result.shapelets, reference.shapelets, "shapelets: {tag}");
+            assert_eq!(bits(&result), bits(&reference), "scores: {tag}");
+        }
+    }
+}
+
+/// A pool as bits: every candidate's class, kind, provenance, and the bits
+/// of its values, profile value and embedding.
+#[allow(clippy::type_complexity)]
+fn pool_bits(pool: &CandidatePool) -> Vec<(u32, bool, usize, usize, Vec<u64>, u64, Vec<u64>)> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    pool.iter()
+        .map(|c| {
+            (
+                c.class,
+                c.kind == CandidateKind::Motif,
+                c.source_instance,
+                c.source_offset,
+                bits(&c.values),
+                c.ip_value.to_bits(),
+                bits(&c.embedded),
+            )
+        })
+        .collect()
 }
 
 /// The sampled extension of the bit-identity contract: with a

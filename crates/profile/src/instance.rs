@@ -7,6 +7,14 @@
 //! fixes the MP baseline's habit of matching a subsequence against its own
 //! instance, and — because the concatenation is a *sample* rather than the
 //! whole class — yields diverse candidates across repeated draws.
+//!
+//! Repeated draws from one class share most of their instance pairs, so a
+//! [`PairTable`] keeps each pair's join and builds every draw's profile
+//! from the joins it already holds.
+
+use std::cell::OnceCell;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use ips_distance::{is_constant_sigma, RollingStats};
 use ips_tsdata::ClassConcat;
@@ -44,12 +52,13 @@ impl InstanceProfile {
     /// best. Window statistics are computed once per instance. The pass
     /// tracks a *score* — the clamped correlation for
     /// [`Metric::ZNormEuclidean`], the negated squared distance for
-    /// [`Metric::MeanSquared`] — and converts the best score into a
-    /// distance once per window at the end; both conversions are monotone
-    /// under IEEE rounding, so every `value` is bit-identical to the
-    /// minimum of [`MatrixProfile::ab_join`](crate::MatrixProfile::ab_join)
-    /// over all other instances. Subsequences straddling a boundary never
-    /// appear because the passes operate on per-instance slices.
+    /// [`Metric::MeanSquared`] — and each window's profile is the maximum
+    /// of its pair bests over the other instances, converted into a
+    /// distance once at the end; both conversions are monotone under IEEE
+    /// rounding, so every `value` is bit-identical to the minimum of
+    /// [`MatrixProfile::ab_join`](crate::MatrixProfile::ab_join) over all
+    /// other instances. Subsequences straddling a boundary never appear
+    /// because the passes operate on per-instance slices.
     ///
     /// `nn_start` is the earliest-starting window with the best score. When
     /// several windows tie at the minimum distance, that can be a different
@@ -57,43 +66,11 @@ impl InstanceProfile {
     /// first minimum in diagonal order, and neighbouring correlations can
     /// round to the same distance. A window with no other instance long
     /// enough to match keeps `value = +∞` and `nn_start = 0`.
+    ///
+    /// This is [`PairTable::profile`] on a table private to the call, keyed
+    /// by concatenation position.
     pub fn compute(concat: &ClassConcat, window: usize, metric: Metric) -> Self {
-        let values = concat.values();
-        let mut sides: Vec<Side> = (0..concat.num_instances())
-            .map(|i| concat.segment(i))
-            .filter(|&(_, len, _)| window > 0 && len >= window)
-            .map(|(start, len, _)| Side::new(&values[start..start + len], start, window, metric))
-            .collect();
-        let mut rows = Rows::default();
-        for ai in 0..sides.len() {
-            let (head, tail) = sides.split_at_mut(ai + 1);
-            for b in tail {
-                join(&mut head[ai], b, window, metric, &mut rows);
-            }
-        }
-        let m_f = window as f64;
-        let entries = sides
-            .iter()
-            .flat_map(|s| {
-                s.best
-                    .iter()
-                    .zip(&s.nn)
-                    .enumerate()
-                    .map(move |(w, (&score, &nn_start))| ProfileEntry {
-                        start: s.start + w,
-                        value: match metric {
-                            Metric::ZNormEuclidean => znorm_dist_from_corr(score, m_f),
-                            Metric::MeanSquared => -score / m_f,
-                        },
-                        nn_start,
-                    })
-            })
-            .collect();
-        Self {
-            entries,
-            window,
-            metric,
-        }
+        PairTable::new(metric).profile_keyed(concat, window, |i| i)
     }
 
     /// All annotated subsequences in start order.
@@ -153,30 +130,183 @@ impl InstanceProfile {
     }
 }
 
+/// The pair joins behind the instance profiles of many concatenations of
+/// one dataset under one metric — Algorithm 1's `Q_N` overlapping samples
+/// of a class, which share most of their instance pairs.
+///
+/// An entry is keyed by `(lower original index, higher original index,
+/// window)`. It holds, from one STOMP pass, every window's best score
+/// against the other instance and the earliest window of that instance
+/// reaching it, for both instances. A profile is the max-combine of its
+/// pairs' entries, walked in concatenation order with a strict `>`, so it
+/// is bit-identical to a fresh [`InstanceProfile::compute`] whichever
+/// concatenation joined a pair first (DESIGN.md §2).
+///
+/// Entries fill lazily, each at most once: concurrent callers asking for
+/// the same pair wait on one `OnceLock` while the first joins it, and no
+/// lock is held during a join. A join that panics leaves its entry empty
+/// for the next caller. A table assumes one original index always names
+/// the same series, so build one per dataset.
+#[derive(Debug)]
+pub struct PairTable {
+    metric: Metric,
+    joins: Mutex<HashMap<PairKey, Arc<OnceLock<PairJoin>>>>,
+}
+
+/// `(lower instance id, higher instance id, window)`.
+type PairKey = (usize, usize, usize);
+
+impl PairTable {
+    /// An empty table for one metric.
+    pub fn new(metric: Metric) -> Self {
+        Self {
+            metric,
+            joins: Mutex::default(),
+        }
+    }
+
+    /// Number of pair joins the table holds.
+    pub fn len(&self) -> usize {
+        self.lock().values().filter(|j| j.get().is_some()).count()
+    }
+
+    /// True when no pair has been joined yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The instance profile of `concat` for window length `window`,
+    /// bit-identical to [`InstanceProfile::compute`]. Pairs are keyed by
+    /// the instances' original indices (the third field of
+    /// [`ClassConcat::segment`]), so a pair this table has already joined
+    /// at `window` is not joined again.
+    pub fn profile(&self, concat: &ClassConcat, window: usize) -> InstanceProfile {
+        self.profile_keyed(concat, window, |i| concat.segment(i).2)
+    }
+
+    /// The profile of `concat` with `id(i)` naming its `i`-th instance in
+    /// the table's keys.
+    fn profile_keyed(
+        &self,
+        concat: &ClassConcat,
+        window: usize,
+        id: impl Fn(usize) -> usize,
+    ) -> InstanceProfile {
+        let (m, metric) = (window, self.metric);
+        let values = concat.values();
+        let long: Vec<Instance> = (0..concat.num_instances())
+            .filter_map(|i| {
+                let (start, len, _) = concat.segment(i);
+                (m > 0 && len >= m).then(|| Instance {
+                    id: id(i),
+                    start,
+                    series: &values[start..start + len],
+                    side: OnceCell::new(),
+                })
+            })
+            .collect();
+        let mut best: Vec<Best> = long
+            .iter()
+            .map(|x| Best::new(x.series.len() - m + 1))
+            .collect();
+        let mut rows = Rows::default();
+        // Pairs in (p, q) order visit each instance's partners in
+        // concatenation order, which the earliest-window rule relies on.
+        for p in 0..long.len() {
+            let (head, tail) = best.split_at_mut(p + 1);
+            for (q, y_best) in (p + 1..long.len()).zip(tail) {
+                let (x, y) = (&long[p], &long[q]);
+                // The entry's `lo` side is the lower id; orientation cannot
+                // change a score bit (DESIGN.md §2).
+                let flip = y.id < x.id;
+                let (lo, hi) = if flip { (y, x) } else { (x, y) };
+                let entry = self.entry((lo.id, hi.id, m));
+                let pair = entry.get_or_init(|| {
+                    join(lo.side(m, metric), hi.side(m, metric), m, metric, &mut rows)
+                });
+                let (x_side, y_side) = if flip {
+                    (&pair.hi, &pair.lo)
+                } else {
+                    (&pair.lo, &pair.hi)
+                };
+                head[p].merge(x_side, y.start);
+                y_best.merge(y_side, x.start);
+            }
+        }
+        let m_f = m as f64;
+        let entries = long
+            .iter()
+            .zip(&best)
+            .flat_map(|(x, b)| {
+                b.score
+                    .iter()
+                    .zip(&b.nn)
+                    .enumerate()
+                    .map(move |(w, (&score, &nn_start))| ProfileEntry {
+                        start: x.start + w,
+                        value: match metric {
+                            Metric::ZNormEuclidean => znorm_dist_from_corr(score, m_f),
+                            Metric::MeanSquared => -score / m_f,
+                        },
+                        nn_start,
+                    })
+            })
+            .collect();
+        InstanceProfile {
+            entries,
+            window,
+            metric,
+        }
+    }
+
+    /// The (possibly still empty) entry of `key`, inserted on first use.
+    fn entry(&self, key: PairKey) -> Arc<OnceLock<PairJoin>> {
+        Arc::clone(self.lock().entry(key).or_default())
+    }
+
+    /// The key map. It is only locked to look an entry up, never across a
+    /// join, so a poisoned lock (a panic inside a map operation) still
+    /// guards a consistent map.
+    fn lock(&self) -> MutexGuard<'_, HashMap<PairKey, Arc<OnceLock<PairJoin>>>> {
+        self.joins.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Correlation score of a pair of windows of which exactly one is constant:
 /// it converts to the distance `√m` (see [`ips_distance::znorm_dist_from_dot`]).
 const ONE_CONSTANT: f64 = 0.5;
 /// Correlation score of a pair of constant windows: distance exactly `0`.
 const BOTH_CONSTANT: f64 = 1.0;
 
-/// One instance of the sample: its window statistics, computed once and
-/// shared by every pair it joins, and the best score each of its windows
-/// has reached so far (higher is nearer).
+/// One long-enough instance of a concatenation: its table id, its offset
+/// in the concatenation, and its window statistics, computed on the first
+/// join it needs.
+struct Instance<'a> {
+    id: usize,
+    start: usize,
+    series: &'a [f64],
+    side: OnceCell<Side<'a>>,
+}
+
+impl<'a> Instance<'a> {
+    fn side(&self, m: usize, metric: Metric) -> &Side<'a> {
+        self.side.get_or_init(|| Side::new(self.series, m, metric))
+    }
+}
+
+/// One instance of a pair: its window statistics, shared by every pair it
+/// joins within one profile.
 struct Side<'a> {
     series: &'a [f64],
-    start: usize,
     mu: Vec<f64>,
     sd: Vec<f64>,
     m_mu: Vec<f64>,
     m_sd: Vec<f64>,
     constant: Vec<bool>,
-    best: Vec<f64>,
-    nn: Vec<usize>,
 }
 
 impl<'a> Side<'a> {
-    fn new(series: &'a [f64], start: usize, m: usize, metric: Metric) -> Self {
-        let n = series.len() - m + 1;
+    fn new(series: &'a [f64], m: usize, metric: Metric) -> Self {
         let (mu, sd) = match metric {
             Metric::ZNormEuclidean => {
                 let stats = RollingStats::new(series, m);
@@ -187,7 +317,6 @@ impl<'a> Side<'a> {
         let m_f = m as f64;
         Self {
             series,
-            start,
             m_mu: mu.iter().map(|&x| m_f * x).collect(),
             m_sd: sd.iter().map(|&x| m_f * x).collect(),
             constant: sd
@@ -197,13 +326,56 @@ impl<'a> Side<'a> {
                 .collect(),
             mu,
             sd,
-            best: vec![f64::NEG_INFINITY; n],
-            nn: vec![0; n],
         }
     }
 }
 
-/// Scratch rows reused by every pair of one [`InstanceProfile::compute`].
+/// The best score each window of one instance has reached (higher is
+/// nearer), and where: a window index of the other instance within a
+/// [`PairJoin`], a concatenation offset within a profile.
+#[derive(Debug)]
+struct Best {
+    score: Vec<f64>,
+    nn: Vec<usize>,
+}
+
+impl Best {
+    fn new(windows: usize) -> Self {
+        Self {
+            score: vec![f64::NEG_INFINITY; windows],
+            nn: vec![0; windows],
+        }
+    }
+
+    /// Max-combines one pair's bests against the instance starting at
+    /// `other_start`. The strict `>` keeps the earlier partner on a tie.
+    fn merge(&mut self, pair: &Best, other_start: usize) {
+        let old = self.score.iter_mut().zip(&mut self.nn);
+        for ((best, nn), (&s, &j)) in old.zip(pair.score.iter().zip(&pair.nn)) {
+            raise(best, nn, s, other_start + j);
+        }
+    }
+}
+
+/// `if c > *best { (*best, *nn) = (c, at) }`, as bit masks: written as an
+/// `if`, it compiles to a branch that mispredicts while a best climbs from
+/// `−∞`, and it does not vectorize.
+#[inline]
+fn raise(best: &mut f64, nn: &mut usize, c: f64, at: usize) {
+    let keep = u64::from(c > *best).wrapping_sub(1);
+    *best = f64::from_bits((best.to_bits() & keep) | (c.to_bits() & !keep));
+    *nn = (*nn & keep as usize) | (at & !keep as usize);
+}
+
+/// One STOMP pass over an instance pair at one window length: the bests of
+/// the lower id's windows and of the higher id's.
+#[derive(Debug)]
+struct PairJoin {
+    lo: Best,
+    hi: Best,
+}
+
+/// Scratch rows reused by every pair join of one profile.
 #[derive(Default)]
 struct Rows {
     /// The pair statistic (dot product or squared distance) of the current
@@ -217,17 +389,19 @@ struct Rows {
 
 /// One pass over the window grid of the pair `(a, b)`: every pair statistic
 /// becomes a score for `a`'s window (its row best) and a score for `b`'s
-/// window (its column best).
-fn join(a: &mut Side, b: &mut Side, m: usize, metric: Metric, rows: &mut Rows) {
+/// window (its column best). Each best keeps the earliest window reaching
+/// it.
+fn join(a: &Side, b: &Side, m: usize, metric: Metric, rows: &mut Rows) -> PairJoin {
     let Rows {
         grid,
         a_view,
         b_view,
     } = rows;
-    let n_b = b.best.len();
+    let n_b = b.series.len() - m + 1;
+    let mut lo = Best::new(a.series.len() - m + 1);
+    let mut hi = Best::new(n_b);
     a_view.resize(n_b, 0.0);
     b_view.resize(n_b, 0.0);
-    let (a_series, b_series) = (a.series, b.series);
     let visit = |i: usize, stat: &[f64]| {
         let b_scores: &[f64] = match metric {
             Metric::ZNormEuclidean => {
@@ -243,21 +417,9 @@ fn join(a: &mut Side, b: &mut Side, m: usize, metric: Metric, rows: &mut Rows) {
                 a_view
             }
         };
-        let (mut best, mut nn) = (a.best[i], a.nn[i]);
-        for (j, &c) in a_view.iter().enumerate() {
-            if c > best {
-                best = c;
-                nn = b.start + j;
-            }
-        }
-        a.best[i] = best;
-        a.nn[i] = nn;
-        // Branch-free, so the column update vectorizes.
-        let pos = a.start + i;
-        for ((best, nn), &c) in b.best.iter_mut().zip(&mut b.nn).zip(b_scores) {
-            let better = c > *best;
-            *best = if better { c } else { *best };
-            *nn = if better { pos } else { *nn };
+        (lo.score[i], lo.nn[i]) = row_best(a_view);
+        for ((best, nn), &c) in hi.score.iter_mut().zip(&mut hi.nn).zip(b_scores) {
+            raise(best, nn, c, i);
         }
     };
     match metric {
@@ -266,7 +428,7 @@ fn join(a: &mut Side, b: &mut Side, m: usize, metric: Metric, rows: &mut Rows) {
             let step = |qt: f64, a_drop: f64, a_add: f64, b_drop: f64, b_add: f64| {
                 qt + (a_add * b_add - a_drop * b_drop)
             };
-            for_each_row(a_series, b_series, m, grid, dot, step, visit);
+            for_each_row(a.series, b.series, m, grid, dot, step, visit);
         }
         Metric::MeanSquared => {
             let sq = |x: &[f64], y: &[f64]| -> f64 {
@@ -276,8 +438,33 @@ fn join(a: &mut Side, b: &mut Side, m: usize, metric: Metric, rows: &mut Rows) {
                 let (drop, add) = (a_drop - b_drop, a_add - b_add);
                 sq + (add * add - drop * drop)
             };
-            for_each_row(a_series, b_series, m, grid, sq, step, visit);
+            for_each_row(a.series, b.series, m, grid, sq, step, visit);
         }
+    }
+    PairJoin { lo, hi }
+}
+
+/// The best score of `row` and the earliest index reaching it: what a
+/// strict-`>` scan in index order keeps, without that scan's
+/// data-dependent branch. A four-lane maximum finds the best value, then
+/// the first index holding it is returned with its own bits (`0.0` and
+/// `−0.0` tie). `(−∞, 0)` when nothing beats `−∞`.
+fn row_best(row: &[f64]) -> (f64, usize) {
+    let mut lanes = [f64::NEG_INFINITY; 4];
+    let chunks = row.chunks_exact(4);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &c) in lanes.iter_mut().zip(chunk) {
+            *lane = if c > *lane { c } else { *lane };
+        }
+    }
+    let max = lanes
+        .iter()
+        .chain(tail)
+        .fold(f64::NEG_INFINITY, |m, &c| if c > m { c } else { m });
+    match row.iter().position(|&c| c == max) {
+        Some(j) if max > f64::NEG_INFINITY => (row[j], j),
+        _ => (f64::NEG_INFINITY, 0),
     }
 }
 
@@ -502,6 +689,25 @@ mod tests {
         for e in ip.entries() {
             assert_eq!(e.value.to_bits(), 8.0f64.sqrt().to_bits());
         }
+    }
+
+    #[test]
+    fn a_panicking_join_leaves_its_entry_empty_for_the_next_caller() {
+        let concat = concat_of(&[vec![0.0, 1.0, 3.0, 2.0, 0.0], vec![1.0, 3.0, 2.0, 5.0]]);
+        let table = PairTable::new(Metric::MeanSquared);
+        std::thread::scope(|s| {
+            let failed = s.spawn(|| {
+                table.entry((0, 1, 3)).get_or_init(|| panic!("join failed"));
+            });
+            assert!(failed.join().is_err());
+        });
+        assert!(table.is_empty());
+        let ip = table.profile(&concat, 3);
+        assert_eq!(
+            ip,
+            InstanceProfile::compute(&concat, 3, Metric::MeanSquared)
+        );
+        assert_eq!(table.len(), 1);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * **AB-joins** between two series (the `P_AB` of Figures 3–4);
 //! * the paper's **instance profile** (Definitions 8–9): the profile of a
 //!   *sampled concatenation* of class instances where subsequences may not
-//!   straddle instance boundaries and same-instance matches are excluded;
+//!   straddle instance boundaries and same-instance matches are excluded,
+//!   built from instance-pair joins that a [`PairTable`] shares across
+//!   the overlapping samples of one class;
 //! * **motif/discord extraction** with exclusion zones;
 //! * a **streaming profile** (STAMPI-style point appends) and a **pan
 //!   profile** across a grid of window lengths.
@@ -33,7 +35,7 @@ pub mod motif;
 pub mod pan;
 pub mod streaming;
 
-pub use instance::{InstanceProfile, ProfileEntry};
+pub use instance::{InstanceProfile, PairTable, ProfileEntry};
 pub use matrix::{MatrixProfile, Metric};
 pub use motif::{top_discords, top_motifs, Occurrence};
 pub use pan::PanProfile;

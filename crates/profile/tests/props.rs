@@ -3,8 +3,8 @@
 
 use std::collections::HashMap;
 
-use ips_distance::{znorm_dist_from_dot, RollingStats};
-use ips_profile::{InstanceProfile, MatrixProfile, Metric};
+use ips_distance::{is_constant_sigma, znorm_dist_from_dot, RollingStats};
+use ips_profile::{InstanceProfile, MatrixProfile, Metric, PairTable};
 use ips_tsdata::ClassConcat;
 use proptest::prelude::*;
 
@@ -31,11 +31,39 @@ fn instance() -> impl Strategy<Value = Vec<f64>> {
         })
 }
 
-/// The distance of every window pair `(a[i..i+m], b[j..j+m])`, computed the
-/// way [`MatrixProfile::ab_join`] computes it: diagonals starting on the top
+/// The pair statistic (dot product, or squared distance for the raw
+/// metric) of every window pair `(a[i..i+m], b[j..j+m])`, computed the way
+/// [`MatrixProfile::ab_join`] computes it: diagonals starting on the top
 /// row or the left column, each extended by the incremental recurrence.
-fn ordered_pair_distances(a: &[f64], b: &[f64], m: usize, metric: Metric) -> Vec<Vec<f64>> {
+fn ordered_pair_stats(a: &[f64], b: &[f64], m: usize, metric: Metric) -> Vec<Vec<f64>> {
     let (n_a, n_b) = (a.len() - m + 1, b.len() - m + 1);
+    let mut s = vec![vec![f64::NAN; n_b]; n_a];
+    let starts = (0..n_b).map(|j| (0, j)).chain((1..n_a).map(|i| (i, 0)));
+    for (i0, j0) in starts {
+        let (x, y) = (&a[i0..i0 + m], &b[j0..j0 + m]);
+        let mut stat: f64 = match metric {
+            Metric::MeanSquared => x.iter().zip(y).map(|(p, q)| (p - q) * (p - q)).sum(),
+            Metric::ZNormEuclidean => x.iter().zip(y).map(|(p, q)| p * q).sum(),
+        };
+        s[i0][j0] = stat;
+        for t in 1..(n_a - i0).min(n_b - j0) {
+            let (i, j) = (i0 + t, j0 + t);
+            stat += match metric {
+                Metric::MeanSquared => {
+                    let (drop, add) = (a[i - 1] - b[j - 1], a[i + m - 1] - b[j + m - 1]);
+                    add * add - drop * drop
+                }
+                Metric::ZNormEuclidean => a[i + m - 1] * b[j + m - 1] - a[i - 1] * b[j - 1],
+            };
+            s[i][j] = stat;
+        }
+    }
+    s
+}
+
+/// The distance of every window pair of `a × b`, from
+/// [`ordered_pair_stats`].
+fn ordered_pair_distances(a: &[f64], b: &[f64], m: usize, metric: Metric) -> Vec<Vec<f64>> {
     let (stats_a, stats_b) = (RollingStats::new(a, m), RollingStats::new(b, m));
     let dist = |stat: f64, i: usize, j: usize| match metric {
         Metric::MeanSquared => stat.max(0.0) / m as f64,
@@ -48,28 +76,105 @@ fn ordered_pair_distances(a: &[f64], b: &[f64], m: usize, metric: Metric) -> Vec
             stats_b.std(j),
         ),
     };
-    let mut d = vec![vec![f64::NAN; n_b]; n_a];
-    let starts = (0..n_b).map(|j| (0, j)).chain((1..n_a).map(|i| (i, 0)));
-    for (i0, j0) in starts {
-        let (x, y) = (&a[i0..i0 + m], &b[j0..j0 + m]);
-        let mut stat: f64 = match metric {
-            Metric::MeanSquared => x.iter().zip(y).map(|(p, q)| (p - q) * (p - q)).sum(),
-            Metric::ZNormEuclidean => x.iter().zip(y).map(|(p, q)| p * q).sum(),
-        };
-        d[i0][j0] = dist(stat, i0, j0);
-        for t in 1..(n_a - i0).min(n_b - j0) {
-            let (i, j) = (i0 + t, j0 + t);
-            stat += match metric {
-                Metric::MeanSquared => {
-                    let (drop, add) = (a[i - 1] - b[j - 1], a[i + m - 1] - b[j + m - 1]);
-                    add * add - drop * drop
-                }
-                Metric::ZNormEuclidean => a[i + m - 1] * b[j + m - 1] - a[i - 1] * b[j - 1],
-            };
-            d[i][j] = dist(stat, i, j);
+    let stats = ordered_pair_stats(a, b, m, metric);
+    let rows = stats.into_iter().enumerate();
+    rows.map(|(i, row)| {
+        row.into_iter()
+            .enumerate()
+            .map(|(j, s)| dist(s, i, j))
+            .collect()
+    })
+    .collect()
+}
+
+/// The score (higher is nearer) that ranks `a`'s window `i` against `b`'s
+/// window `j`, as DESIGN.md §2 defines it: the negated squared distance,
+/// or the correlation `(qt − (mμ_a)μ_b)/((mσ_a)σ_b)` clamped to [−1, 1],
+/// with 1.0 when both windows are constant and 0.5 when one is.
+fn score(
+    stat: f64,
+    m: usize,
+    metric: Metric,
+    a: (&RollingStats, usize),
+    b: (&RollingStats, usize),
+) -> f64 {
+    if metric == Metric::MeanSquared {
+        return -stat.max(0.0);
+    }
+    let ((sa, i), (sb, j)) = (a, b);
+    let (mu_a, sd_a, mu_b, sd_b) = (sa.mean(i), sa.std(i), sb.mean(j), sb.std(j));
+    match (is_constant_sigma(sd_a, mu_a), is_constant_sigma(sd_b, mu_b)) {
+        (true, true) => 1.0,
+        (true, false) | (false, true) => 0.5,
+        _ => {
+            let m_f = m as f64;
+            ((stat - (m_f * mu_a) * mu_b) / ((m_f * sd_a) * sd_b)).clamp(-1.0, 1.0)
         }
     }
-    d
+}
+
+/// The instances of `concat` long enough for `m`, in concatenation
+/// order, as `(start, values)`.
+fn long_instances(concat: &ClassConcat, m: usize) -> Vec<(usize, &[f64])> {
+    let values = concat.values();
+    (0..concat.num_instances())
+        .map(|i| concat.segment(i))
+        .filter(|&(_, len, _)| m > 0 && len >= m)
+        .map(|(s, len, _)| (s, &values[s..s + len]))
+        .collect()
+}
+
+/// The tie rule's oracle: for every window of every instance long enough
+/// for `m`, in start order, the concatenation offset of the **earliest**
+/// window of another instance with the best score (`0` when no other
+/// instance is long enough). Each instance is the row side of its own
+/// ordered-pair statistics, so this also checks that the kernel's
+/// orientation of a pair changes no score.
+fn earliest_best(concat: &ClassConcat, m: usize, metric: Metric) -> Vec<usize> {
+    let long = long_instances(concat, m);
+    let mut out = Vec::new();
+    for (ai, &(_, a)) in long.iter().enumerate() {
+        let sa = RollingStats::new(a, m);
+        let n_a = a.len() - m + 1;
+        let (mut best, mut nn) = (vec![f64::NEG_INFINITY; n_a], vec![0; n_a]);
+        for (bi, &(b_start, b)) in long.iter().enumerate() {
+            if bi == ai {
+                continue;
+            }
+            let sb = RollingStats::new(b, m);
+            for (i, row) in ordered_pair_stats(a, b, m, metric).iter().enumerate() {
+                for (j, &stat) in row.iter().enumerate() {
+                    let s = score(stat, m, metric, (&sa, i), (&sb, j));
+                    if s > best[i] {
+                        (best[i], nn[i]) = (s, b_start + j);
+                    }
+                }
+            }
+        }
+        out.extend(nn);
+    }
+    out
+}
+
+/// An instance set of 2–7 instances plus a repeat of the first under its
+/// own index, and 2–4 concatenations of it: each a random subset in a
+/// random order (a shuffle key per instance and a size).
+#[allow(clippy::type_complexity)]
+fn overlapping_samples() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<Vec<usize>>)> {
+    let orders = prop::collection::vec((prop::collection::vec(0u32..1000, 8), 1usize..9), 2..5);
+    (prop::collection::vec(instance(), 2..8), orders).prop_map(|(mut set, orders)| {
+        set.push(set[0].clone());
+        let orders = orders
+            .into_iter()
+            .map(|(keys, size)| {
+                let mut order: Vec<usize> = (0..set.len()).collect();
+                order.sort_by_key(|&i| keys[i]);
+                order.truncate(size);
+                order
+            })
+            .collect();
+        (set, orders)
+    })
 }
 
 /// The reference instance profile: one join per **ordered** instance pair,
@@ -83,12 +188,7 @@ fn reference(
     m: usize,
     metric: Metric,
 ) -> (Vec<(usize, f64, usize)>, HashMap<(usize, usize), f64>) {
-    let values = concat.values();
-    let long: Vec<(usize, &[f64])> = (0..concat.num_instances())
-        .map(|i| concat.segment(i))
-        .filter(|&(_, len, _)| m > 0 && len >= m)
-        .map(|(s, len, _)| (s, &values[s..s + len]))
-        .collect();
+    let long = long_instances(concat, m);
     let mut entries = Vec::new();
     let mut dist = HashMap::new();
     for (ai, &(a_start, a)) in long.iter().enumerate() {
@@ -221,6 +321,44 @@ proptest! {
                     prop_assert_eq!(e.nn_start, nn);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn shared_pair_table_matches_fresh_profiles(
+        case in overlapping_samples(),
+        w in 1usize..10,
+    ) {
+        let (set, orders) = case;
+        for metric in [Metric::MeanSquared, Metric::ZNormEuclidean] {
+            let table = PairTable::new(metric);
+            let mut pairs = std::collections::HashSet::new();
+            for order in &orders {
+                let cc = ClassConcat::from_instances(order.iter().map(|&i| (i, set[i].as_slice())));
+                let shared = table.profile(&cc, w);
+                let fresh = InstanceProfile::compute(&cc, w, metric);
+                prop_assert_eq!(shared.len(), fresh.len());
+                let nn = earliest_best(&cc, w, metric);
+                prop_assert_eq!(shared.len(), nn.len());
+                for ((s, f), &nn) in shared.entries().iter().zip(fresh.entries()).zip(&nn) {
+                    prop_assert_eq!(s.start, f.start);
+                    prop_assert!(
+                        s.value.to_bits() == f.value.to_bits(),
+                        "{:?} w={} order={:?} start={}: {} vs {}",
+                        metric, w, order, s.start, s.value, f.value
+                    );
+                    prop_assert_eq!(s.nn_start, f.nn_start);
+                    prop_assert_eq!(s.nn_start, nn);
+                }
+                let long: Vec<usize> = order.iter().copied().filter(|&i| set[i].len() >= w).collect();
+                for (p, &a) in long.iter().enumerate() {
+                    for &b in &long[p + 1..] {
+                        pairs.insert((a.min(b), a.max(b)));
+                    }
+                }
+            }
+            // every distinct pair was joined exactly once
+            prop_assert_eq!(table.len(), pairs.len());
         }
     }
 }

@@ -15,11 +15,13 @@ AUDITED_FILES=(
     crates/bench/src/bin/bench_grid.rs
     crates/bench/src/bin/bench_scaling.rs
     crates/bench/src/bin/bench_serve.rs
+    crates/core/src/candidates.rs
     crates/core/src/engine.rs
     crates/core/src/pipeline.rs
     crates/core/src/sampling.rs
     crates/core/src/schedule.rs
     crates/core/src/utility.rs
+    crates/profile/src/instance.rs
     crates/serve/src/persist.rs
     crates/serve/src/registry.rs
     crates/serve/src/server.rs
@@ -35,6 +37,13 @@ ALLOWLIST=(
     # AbsDevTable prefix sums: the vector is seeded with one element
     # before the loop, so `last()` is always Some.
     'prefix.push(prefix.last().unwrap() + v)'
+    # top_entries' sort and InstanceProfile::motif/discord: each comparator
+    # runs only on entries that passed the `is_finite` filter in front of
+    # it, and finite values always compare.
+    'b.value.partial_cmp(&a.value).expect("finite")'
+    'a.value.partial_cmp(&b.value).expect("finite")'
+    '.min_by(|a, b| a.value.partial_cmp(&b.value).expect("finite"))'
+    '.max_by(|a, b| a.value.partial_cmp(&b.value).expect("finite"))'
 )
 
 status=0

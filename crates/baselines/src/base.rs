@@ -1,4 +1,4 @@
-//! BASE — the matrix-profile baseline of Yeh et al. [37] (Section II-B).
+//! BASE — the matrix-profile baseline of Yeh et al. \[37\] (Section II-B).
 //!
 //! For each class `C`, all instances are concatenated into one long series
 //! `T_C`. The shapelet indicator of a window is the difference between its
@@ -10,7 +10,7 @@
 //! exclusion zone around selected windows (issue 2.2, similar
 //! subsequences as shapelets), no motif check (issue 1, discords as
 //! shapelets), and — by default — no masking of windows that straddle the
-//! concatenation boundary between two instances (the description in [37]
+//! concatenation boundary between two instances (the description in \[37\]
 //! has none; such windows are artifacts of the concatenation).
 //! [`BaseConfig::mask_boundaries`] enables the masked variant for
 //! ablation.

@@ -1,6 +1,6 @@
 //! Comparator methods for the IPS evaluation.
 //!
-//! * [`base`] — **BASE**, the MP baseline of Yeh et al. [37] (Formula 4):
+//! * [`base`] — **BASE**, the MP baseline of Yeh et al. \[37\] (Formula 4):
 //!   concatenate each class, take the subsequences with the largest
 //!   matrix-profile difference as "shapelets". Reproduced faithfully —
 //!   including its two defects the paper analyzes (discords as shapelets,

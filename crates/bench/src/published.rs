@@ -1,7 +1,7 @@
 //! Published constants transcribed from the paper.
 //!
 //! As in the paper itself — "the experiment accuracy results of 10 methods
-//! … are all taken from the papers [2], [12], [23]" — these columns are
+//! … are all taken from the papers \[2\], \[12\], \[23\]" — these columns are
 //! *literature constants*, not measurements of this codebase. They feed
 //! the Table VI reproduction and the Figure 11 critical-difference
 //! diagram. The `ELIS` entry for NonInvasiveFatalECGThorax1 is missing in

@@ -1,9 +1,9 @@
-//! Stratified cross-validation and grid model selection.
+//! Stratified cross-validation.
 //!
 //! The paper's parameter setting ("`Q_N` and `Q_S` are selected from
 //! {…}") implies per-dataset tuning; this module provides the standard
-//! machinery: stratified k-fold splits and a generic grid search over any
-//! fit/score closure.
+//! machinery: cross-validated accuracy over stratified k-fold splits for
+//! any fit/predict closure.
 
 use ips_tsdata::{Dataset, TimeSeries};
 
@@ -15,7 +15,7 @@ use ips_tsdata::{Dataset, TimeSeries};
 ///
 /// # Panics
 /// Panics when `folds == 0`.
-pub fn stratified_folds(labels: &[u32], folds: usize) -> Vec<Vec<usize>> {
+fn stratified_folds(labels: &[u32], folds: usize) -> Vec<Vec<usize>> {
     assert!(folds > 0, "need at least one fold");
     let folds = folds.min(labels.len().max(1));
     let mut classes: Vec<u32> = labels.to_vec();
@@ -36,7 +36,7 @@ pub fn stratified_folds(labels: &[u32], folds: usize) -> Vec<Vec<usize>> {
 ///
 /// # Panics
 /// Panics when a fold would leave the training side empty.
-pub fn split_fold(data: &Dataset, test_idx: &[usize]) -> (Dataset, Dataset) {
+fn split_fold(data: &Dataset, test_idx: &[usize]) -> (Dataset, Dataset) {
     let is_test: Vec<bool> = {
         let mut v = vec![false; data.len()];
         for &i in test_idx {
@@ -93,24 +93,6 @@ pub fn cross_val_accuracy(
     }
 }
 
-/// Grid search: evaluates `score` (higher = better) for every grid point
-/// and returns the best `(point, score)` — first-best wins ties, so the
-/// search is deterministic for a deterministic scorer.
-///
-/// # Panics
-/// Panics on an empty grid.
-pub fn grid_search<P: Clone>(grid: &[P], mut score: impl FnMut(&P) -> f64) -> (P, f64) {
-    assert!(!grid.is_empty(), "empty parameter grid");
-    let mut best: Option<(P, f64)> = None;
-    for p in grid {
-        let s = score(p);
-        if best.as_ref().is_none_or(|(_, bs)| s > *bs) {
-            best = Some((p.clone(), s));
-        }
-    }
-    best.expect("non-empty grid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,21 +129,5 @@ mod tests {
         let (train, _) = registry::load("GunPoint").unwrap();
         let acc = cross_val_accuracy(&train, 5, |tr, te| OneNnEd::fit(tr).predict_all(te));
         assert!(acc > 0.5, "cv acc {acc}");
-    }
-
-    #[test]
-    fn grid_search_finds_the_max() {
-        let grid = [1.0f64, 3.0, 2.0, 5.0, 4.0];
-        let (best, score) = grid_search(&grid, |&x| -(x - 3.5) * (x - 3.5));
-        assert_eq!(best, 3.0); // first of the two closest to 3.5
-        assert!(score <= 0.0);
-        let (best, _) = grid_search(&grid, |&x| x);
-        assert_eq!(best, 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty parameter grid")]
-    fn grid_search_rejects_empty_grid() {
-        grid_search::<f64>(&[], |_| 0.0);
     }
 }

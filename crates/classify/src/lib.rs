@@ -7,11 +7,10 @@
 //!
 //! * [`transform`] — shapelets and the shapelet transform;
 //! * [`svm`] — a from-scratch linear SVM (one-vs-rest Pegasos SGD);
-//! * [`logreg`] — multinomial logistic regression (used by ablations);
 //! * [`nn`] — 1NN-ED and 1NN-DTW, the classic baselines of Tables II/VI;
 //! * [`tree`] / [`forest`] — CART decision trees and a Rotation-Forest-
 //!   style ensemble (Table VI's `RotF` comparator), with from-scratch PCA;
-//! * [`cv`] — stratified k-fold cross-validation and grid search;
+//! * [`cv`] — stratified k-fold cross-validation;
 //! * [`eval`] — accuracy / confusion-matrix utilities.
 //!
 //! ```
@@ -27,16 +26,14 @@
 pub mod cv;
 pub mod eval;
 pub mod forest;
-pub mod logreg;
 pub mod nn;
 pub mod svm;
 pub mod transform;
 pub mod tree;
 
-pub use cv::{cross_val_accuracy, grid_search, split_fold, stratified_folds};
+pub use cv::cross_val_accuracy;
 pub use eval::{accuracy, confusion_matrix, Evaluation};
 pub use forest::{ForestParams, RotationForest};
-pub use logreg::LogisticRegression;
 pub use nn::{OneNnDtw, OneNnEd};
 pub use svm::LinearSvm;
 pub use transform::{Shapelet, ShapeletTransform};

@@ -1,7 +1,7 @@
 //! Nearest-neighbor classifiers: 1NN-ED and 1NN-DTW.
 //!
-//! These are the reference baselines of Table II ("1NN-ED [9]" and
-//! "1NN-DTW [9]") and the `DTW_Rn_1NN` column of Table VI. The DTW variant
+//! These are the reference baselines of Table II ("1NN-ED \[9\]" and
+//! "1NN-DTW \[9\]") and the `DTW_Rn_1NN` column of Table VI. The DTW variant
 //! learns its Sakoe–Chiba band fraction on the training set by
 //! leave-one-out cross-validation over a small grid (the "Rn" — learned
 //! warping window — convention of the UCR baselines) and prunes test-time
@@ -166,6 +166,7 @@ impl OneNnDtw {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ips_distance::dtw;
     use ips_tsdata::{registry, DatasetSpec, SynthGenerator, TimeSeries};
 
     fn tiny() -> Dataset {
@@ -257,6 +258,30 @@ mod tests {
                 }
             }
             assert_eq!(model.predict(s.values()), label);
+        }
+    }
+
+    #[test]
+    fn unconstrained_band_matches_brute_force_dtw() {
+        // A near miss first, then an exact match that an unsound LB_Keogh
+        // envelope would prune.
+        let peak = [0.0, 10.0, 10.0, 0.0];
+        let near = TimeSeries::new(vec![0.0, 10.0, 10.0, 1.0]);
+        let train = Dataset::new(vec![near, TimeSeries::new(peak.to_vec())], vec![0, 1]).unwrap();
+        let model = OneNnDtw::with_band(&train, usize::MAX);
+        let brute = |s: &[f64]| {
+            let mut best = (f64::INFINITY, 0);
+            for (t, l) in train.iter() {
+                let d = dtw(s, t.values());
+                if d < best.0 {
+                    best = (d, l);
+                }
+            }
+            best.1
+        };
+        assert_eq!(brute(&peak), 1);
+        for s in [&peak[..], &[0.0, 10.0, 10.0, 0.8], &[1.0, 9.0, 9.0, 1.0]] {
+            assert_eq!(model.predict(s), brute(s), "query {s:?}");
         }
     }
 }

@@ -9,7 +9,7 @@
 //! classes" (Section III-D).
 
 use ips_lsh::embed;
-use ips_profile::{InstanceProfile, Metric, PairTable};
+use ips_profile::{InstanceProfile, PairTable};
 use ips_tsdata::{ClassConcat, Dataset};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -333,10 +333,6 @@ fn top_entries(
     }
     picked
 }
-
-/// Re-exported metric alias so callers need not depend on `ips-profile`
-/// directly for configuration.
-pub type ProfileMetric = Metric;
 
 #[cfg(test)]
 mod tests {

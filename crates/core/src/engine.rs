@@ -1178,7 +1178,7 @@ impl Pruner for NoopPruner {
 /// bit-identical to sequential scoring at any thread count *and* chunk
 /// size:
 ///
-/// 1. **Record** — [`exact_request_plan`] enumerates each class's
+/// 1. **Record** — `exact_request_plan` enumerates each class's
 ///    sliding-distance requests without computing any (the scoring core
 ///    has no distance-value-dependent control flow), dedupes them by the
 ///    cache's own memo key (hashing each distinct slice once), and groups
@@ -1190,7 +1190,7 @@ impl Pruner for NoopPruner {
 ///    length. All keys in a class are distinct, so shard counters sum to
 ///    exactly the sequential memo's evals regardless of the order or of
 ///    where the batch boundaries fall.
-/// 3. **Replay** — [`score_exact_replay`] re-runs the scoring core
+/// 3. **Replay** — `score_exact_replay` re-runs the scoring core
 ///    sequentially per class, feeding request *r* its precomputed
 ///    distance: the floating-point accumulation order is the sequential
 ///    path's, untouched by the chunking.

@@ -255,7 +255,8 @@ impl SeriesPlan {
 
     /// Kernel min-distance of one already-oriented query (`q.len() ≤ n`,
     /// both non-empty) against the planned series. Same return convention
-    /// as [`sliding_min_dist`] / [`sliding_min_dist_znorm`].
+    /// as [`sliding_min_dist`] /
+    /// [`sliding_min_dist_znorm`](crate::euclid::sliding_min_dist_znorm).
     pub fn min_dist_one(
         &mut self,
         fft: &Fft,

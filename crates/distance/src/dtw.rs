@@ -2,15 +2,6 @@
 //! lower bound — the substrate of the paper's 1NN-DTW comparator (Table II
 //! and the `DTW_Rn_1NN` column of Table VI).
 
-/// Options controlling the DTW computation.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DtwOptions {
-    /// Sakoe–Chiba band half-width as a fraction of the series length
-    /// (`None` = unconstrained). The UCR baseline "DTW_Rn" learns this on
-    /// the training set; our 1NN-DTW classifier sweeps a small grid.
-    pub band_fraction: Option<f64>,
-}
-
 /// Unconstrained DTW distance (square root of the summed squared local
 /// costs, the convention of the UCR archive baselines).
 pub fn dtw(a: &[f64], b: &[f64]) -> f64 {
@@ -62,7 +53,7 @@ pub fn lb_keogh(query: &[f64], candidate: &[f64], band: usize) -> f64 {
     let mut acc = 0.0;
     for (i, &q) in query.iter().enumerate() {
         let lo_idx = i.saturating_sub(band);
-        let hi_idx = (i + band).min(n - 1);
+        let hi_idx = i.saturating_add(band).min(n - 1);
         let window = &candidate[lo_idx..=hi_idx];
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for &v in window {
@@ -161,10 +152,13 @@ mod tests {
     fn lb_keogh_lower_bounds_banded_dtw() {
         let a: Vec<f64> = (0..50).map(|i| ((i * 29 % 23) as f64) * 0.1).collect();
         let b: Vec<f64> = (0..50).map(|i| ((i * 17 % 19) as f64) * 0.1).collect();
-        for band in [1, 3, 8] {
-            let lb = lb_keogh(&a, &b, band);
-            let d = dtw_banded(&a, &b, band);
-            assert!(lb <= d + 1e-9, "band {band}: lb {lb} > dtw {d}");
+        let peak = [0.0, 10.0, 10.0, 0.0];
+        for (q, c) in [(&a[..], &b[..]), (&peak[..], &peak[..])] {
+            for band in [1, 3, 8, usize::MAX] {
+                let lb = lb_keogh(q, c, band);
+                let d = dtw_banded(q, c, band);
+                assert!(lb <= d + 1e-9, "band {band}: lb {lb} > dtw {d}");
+            }
         }
     }
 

@@ -34,7 +34,7 @@ pub use batch::{
     SeriesPlan,
 };
 pub use cache::{min_dist_key, CacheStats, DistCache, MinDistKey, SliceKey};
-pub use dtw::{dtw, dtw_banded, lb_keogh, DtwOptions};
+pub use dtw::{dtw, dtw_banded, lb_keogh};
 pub use euclid::{
     argmax, argmin, dist_profile, dist_profile_znorm, euclidean, is_constant_sigma, mean_sq_dist,
     sliding_min_dist, sliding_min_dist_znorm, sq_euclidean, znorm_dist_from_dot, ZNORM_SIGMA_FLOOR,

@@ -121,7 +121,7 @@ fn splitmix(mut z: u64) -> u64 {
 /// the reproducibility-sensitive benches rely on (`DefaultHasher` seeds
 /// per-process).
 #[derive(Default)]
-pub struct Fnv1a(u64);
+struct Fnv1a(u64);
 
 impl Hasher for Fnv1a {
     fn finish(&self) -> u64 {

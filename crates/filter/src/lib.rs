@@ -3,12 +3,8 @@
 //!
 //! The lineage the paper builds on is implemented in full:
 //!
-//! * [`bloom`] — the classic Bloom filter [4]: "possibly in the set" /
+//! * [`bloom`] — the classic Bloom filter \[4\]: "possibly in the set" /
 //!   "definitely not in the set";
-//! * [`counting`] — a counting variant supporting deletion (the spectral
-//!   bloom filter [6] direction);
-//! * [`distance_sensitive`] — the distance-sensitive bloom filter [15]:
-//!   "possibly close to *an* element" / "definitely not close";
 //! * [`dabf`] — the paper's contribution (Section III-B/C): "possibly
 //!   close to **most** elements" / "definitely not close to most", in O(1)
 //!   per query via an LSH projection plus a fitted distribution and the
@@ -24,11 +20,7 @@
 //! ```
 
 pub mod bloom;
-pub mod counting;
 pub mod dabf;
-pub mod distance_sensitive;
 
 pub use bloom::BloomFilter;
-pub use counting::CountingBloomFilter;
 pub use dabf::{ClassDabf, Dabf, DabfConfig, NaiveMostFilter};
-pub use distance_sensitive::DistanceSensitiveBloom;

@@ -1,6 +1,6 @@
 //! Property-based tests of the filter family.
 
-use ips_filter::{BloomFilter, CountingBloomFilter, NaiveMostFilter};
+use ips_filter::{BloomFilter, NaiveMostFilter};
 use proptest::prelude::*;
 
 proptest! {
@@ -14,26 +14,6 @@ proptest! {
         }
         for i in &items {
             prop_assert!(bf.contains(i));
-        }
-    }
-
-    #[test]
-    fn counting_bloom_remove_is_exact_without_collisions(
-        items in prop::collection::hash_set(any::<u64>(), 1..100),
-    ) {
-        // generously sized to make collisions negligible
-        let mut cbf = CountingBloomFilter::new(1 << 16, 4);
-        let items: Vec<u64> = items.into_iter().collect();
-        for i in &items {
-            cbf.insert(i);
-        }
-        // remove the first half, the second half must survive
-        let half = items.len() / 2;
-        for i in &items[..half] {
-            cbf.remove(i);
-        }
-        for i in &items[half..] {
-            prop_assert!(cbf.contains(i), "lost {}", i);
         }
     }
 

@@ -21,7 +21,7 @@ pub struct LshParams {
     /// Hash family.
     pub kind: LshKind,
     /// Input dimension (candidates are embedded to this; see
-    /// [`crate::embed`]).
+    /// [`crate::embed`](mod@crate::embed)).
     pub dim: usize,
     /// Number of concatenated hash functions per signature.
     pub num_hashes: usize,

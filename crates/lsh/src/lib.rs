@@ -3,13 +3,13 @@
 //! The DABF (Section III-B) hashes shapelet candidates with an LSH family,
 //! buckets them, and fits a distribution over the bucket distances. The
 //! paper evaluates three families (Table VII): the p-stable L2 scheme of
-//! Datar et al. [7] (the default — best accuracy), random-hyperplane
+//! Datar et al. \[7\] (the default — best accuracy), random-hyperplane
 //! cosine hashing, and Hamming bit sampling. All three are implemented
 //! here from scratch, along with:
 //!
-//! * [`embed`] — the fixed-dimension embedding that lets variable-length
-//!   candidates share one hash family (z-normalize + linear resample; see
-//!   `DESIGN.md` §2);
+//! * [`embed`](mod@embed) — the fixed-dimension embedding that lets
+//!   variable-length candidates share one hash family (z-normalize +
+//!   linear resample; see `DESIGN.md` §2);
 //! * [`table`] — bucket tables with centroid tracking, supporting the
 //!   bucket ranking step of Algorithm 2.
 //!

@@ -14,9 +14,7 @@
 //!   straddle instance boundaries and same-instance matches are excluded,
 //!   built from instance-pair joins that a [`PairTable`] shares across
 //!   the overlapping samples of one class;
-//! * **motif/discord extraction** with exclusion zones;
-//! * a **streaming profile** (STAMPI-style point appends) and a **pan
-//!   profile** across a grid of window lengths.
+//! * **motif/discord extraction** with exclusion zones.
 //!
 //! ```
 //! use ips_profile::{MatrixProfile, Metric};
@@ -32,11 +30,7 @@
 pub mod instance;
 pub mod matrix;
 pub mod motif;
-pub mod pan;
-pub mod streaming;
 
 pub use instance::{InstanceProfile, PairTable, ProfileEntry};
 pub use matrix::{MatrixProfile, Metric};
 pub use motif::{top_discords, top_motifs, Occurrence};
-pub use pan::PanProfile;
-pub use streaming::StreamingProfile;

@@ -14,14 +14,12 @@
 //!   critical-difference diagram (Figure 11).
 
 pub mod cd;
-pub mod describe;
 pub mod fit;
 pub mod histogram;
 pub mod rank;
 pub mod special;
 
 pub use cd::{cd_diagram_text, cliques, grid_summary_text, nemenyi_cd, CdDiagram};
-pub use describe::{ecdf, ks_p_value, ks_test, quantile_sorted, summarize, Summary};
 pub use fit::{best_fit, nmse, Distribution, FitResult};
 pub use histogram::Histogram;
 pub use rank::{average_ranks, friedman_test, holm_adjust, wilcoxon_signed_rank, FriedmanResult};

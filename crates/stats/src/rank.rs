@@ -1,8 +1,8 @@
 //! Rank-based statistical tests: Friedman, Wilcoxon signed-rank, Holm.
 //!
-//! These drive the paper's Section IV-C analysis: "The Friedman test [10],
+//! These drive the paper's Section IV-C analysis: "The Friedman test \[10\],
 //! a non-parametric statistical test, and Wilcoxon-signed rank test with
-//! Holm's α (5%) [19] are taken for all methods."
+//! Holm's α (5%) \[19\] are taken for all methods."
 
 use crate::special::{chi2_cdf, f_cdf, normal_cdf};
 

@@ -19,7 +19,6 @@
 //! assert_eq!(train.series(0).len(), train.series(1).len());
 //! ```
 
-pub mod augment;
 pub mod dataset;
 pub mod error;
 pub mod registry;
@@ -27,7 +26,6 @@ pub mod series;
 pub mod synth;
 pub mod ucr;
 
-pub use augment::augment_dataset;
 pub use dataset::{ClassConcat, Dataset};
 pub use error::{Error, Result};
 pub use series::{znormalize, znormalize_in_place, TimeSeries};

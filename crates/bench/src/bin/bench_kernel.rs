@@ -1,20 +1,23 @@
-//! Micro-benchmark of the batch FFT/MASS distance kernel against the
-//! naive early-abandoning sliding loop, across series lengths and both
-//! metrics. Writes `results/BENCH_kernel.json` (consumed by the README's
-//! Performance section and uploaded as a CI artifact).
+//! Micro-benchmark of the FFT/MASS distance kernel against the naive
+//! early-abandoning sliding loop, across series lengths and both metrics,
+//! through `DistCache` — the one way every fit and served request reaches
+//! the kernel. Writes `results/BENCH_kernel.json` (consumed by the
+//! README's Performance section and uploaded as a CI artifact).
 //!
 //! ```sh
 //! cargo run -p ips-bench --release --bin bench_kernel
 //! ```
 //!
-//! Three timings per (metric, n) cell, same inputs, all through the same
-//! `batch_min_dist_with` entry point so the comparison isolates the kernel
-//! and the crossover policy rather than call-shape differences:
+//! Three timings per (metric, n) cell, same inputs. Each timed call runs
+//! the cell's distinct queries against one series through a fresh
+//! `DistCache::with_policy(..)`, so every request is a miss and the
+//! comparison isolates the kernel and the crossover policy rather than
+//! call-shape differences:
 //! - `naive`: `ForceNaive` — the early-abandoning sliding loops;
-//! - `kernel`: `ForceKernel` — one series FFT amortized over the batch,
-//!   two queries per inverse transform;
-//! - `auto`: the production crossover heuristic, which must track
-//!   whichever of the two is faster.
+//! - `kernel`: `ForceKernel` — one series FFT amortized over the call's
+//!   queries, a forward and an inverse transform per query;
+//! - `auto`: the cache's production crossover, which should track
+//!   whichever of the two is faster (where it does not, the cell shows it).
 //!
 //! Timings are per-arm minima over many short (~0.25 ms) interleaved
 //! samples. On a shared 1-CPU container interference is heavy (paired
@@ -27,7 +30,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ips_distance::{batch_min_dist, batch_min_dist_with, KernelPolicy, Metric};
+use ips_distance::{DistCache, KernelPolicy, Metric};
 
 /// Deterministic pseudo-random stream (splitmix64) — benchmark inputs
 /// must not depend on an RNG crate or wall-clock seeding.
@@ -123,25 +126,19 @@ fn main() {
                 let source = series(n + num_queries, 0xF00D_u64 + n as u64);
                 let queries: Vec<&[f64]> = (0..num_queries).map(|i| &source[i..i + m]).collect();
 
-                let mut run_naive = || {
-                    std::hint::black_box(batch_min_dist_with(
-                        &queries,
-                        &s,
-                        metric,
-                        KernelPolicy::ForceNaive,
-                    ));
+                // The policy goes through `black_box` so all three arms run
+                // one machine-code copy of the cache: a constant-propagated
+                // policy would give each arm its own specialization, and
+                // layout luck between copies skews A/B timings.
+                let run = |policy: KernelPolicy| {
+                    let mut cache = DistCache::with_policy(std::hint::black_box(policy));
+                    for q in &queries {
+                        std::hint::black_box(cache.min_dist(q, &s, metric));
+                    }
                 };
-                let mut run_kernel = || {
-                    std::hint::black_box(batch_min_dist_with(
-                        &queries,
-                        &s,
-                        metric,
-                        KernelPolicy::ForceKernel,
-                    ));
-                };
-                let mut run_auto = || {
-                    std::hint::black_box(batch_min_dist(&queries, &s, metric));
-                };
+                let mut run_naive = || run(KernelPolicy::ForceNaive);
+                let mut run_kernel = || run(KernelPolicy::ForceKernel);
+                let mut run_auto = || run(KernelPolicy::Auto);
                 let naive_iters = calibrate(&mut run_naive);
                 let kernel_iters = calibrate(&mut run_kernel);
                 let auto_iters = calibrate(&mut run_auto);
@@ -188,7 +185,7 @@ fn main() {
         }
     }
 
-    println!("batch FFT/MASS kernel vs naive sliding loop ({num_queries} queries per batch)\n");
+    println!("FFT/MASS kernel vs naive sliding loop through DistCache ({num_queries} queries per call)\n");
     println!(
         "{:<14} {:>6} {:>6} {:>12} {:>12} {:>12} {:>9} {:>9}",
         "metric", "n", "m", "naive ms", "kernel ms", "auto ms", "kern x", "auto x"
@@ -210,7 +207,7 @@ fn main() {
     }
 
     // hand-rolled JSON: the workspace deliberately carries no serde
-    let mut json = String::from("{\n  \"bench\": \"kernel\",\n  \"queries_per_batch\": ");
+    let mut json = String::from("{\n  \"bench\": \"kernel\",\n  \"queries_per_call\": ");
     let _ = write!(
         json,
         "{num_queries},\n  \"timing\": \"min_of_{passes}x{reps}_short_samples_ms\",\n  \"cases\": [\n"

@@ -12,7 +12,6 @@
 
 use std::fmt;
 
-use ips_distance::KernelError;
 use ips_obs::ObsError;
 
 /// Unified error type for discovery, classification, and serving paths.
@@ -46,11 +45,6 @@ pub enum IpsError {
         /// The panic payload or failure description.
         reason: String,
     },
-    /// The distance kernel rejected its input (see
-    /// [`ips_distance::KernelError`]). Scoring paths normally *degrade*
-    /// to the naive kernel instead of surfacing this; it is returned only
-    /// from entry points documented as strict.
-    Kernel(KernelError),
     /// A [`crate::config::DiscoveryBudget`] was exhausted before *any*
     /// result could be produced. (When a budget trips after partial
     /// progress, discovery instead returns best-so-far shapelets with
@@ -92,7 +86,6 @@ impl fmt::Display for IpsError {
             IpsError::StageFailed { stage, reason } => {
                 write!(f, "stage {stage} failed: {reason}")
             }
-            IpsError::Kernel(e) => write!(f, "distance kernel error: {e}"),
             IpsError::BudgetExhausted { budget, detail } => {
                 write!(f, "discovery budget {budget} exhausted: {detail}")
             }
@@ -111,7 +104,6 @@ impl std::error::Error for IpsError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IpsError::InvalidData(e) => Some(e),
-            IpsError::Kernel(e) => Some(e),
             IpsError::Record(e) => Some(e),
             _ => None,
         }
@@ -121,12 +113,6 @@ impl std::error::Error for IpsError {
 impl From<ips_tsdata::Error> for IpsError {
     fn from(e: ips_tsdata::Error) -> Self {
         IpsError::InvalidData(e)
-    }
-}
-
-impl From<KernelError> for IpsError {
-    fn from(e: KernelError) -> Self {
-        IpsError::Kernel(e)
     }
 }
 

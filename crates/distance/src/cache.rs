@@ -1,13 +1,14 @@
-//! A memoizing distance-profile layer over the batch kernel.
+//! A memoizing distance layer over the FFT/MASS kernel: the only way
+//! into it.
 //!
 //! [`DistCache`] answers [`DistCache::min_dist`] queries while remembering
 //! two kinds of work:
 //!
-//! * **Series plans** — one [`SeriesPlan`] per distinct series, so its
+//! * **Series plans** — one series plan per distinct series, so its
 //!   rolling window statistics (read by the naive z-norm loop and the FFT
 //!   kernel alike), padded spectrum, and prefix sums are computed at most
 //!   once per series (statistics: once per query length) no matter how
-//!   many candidates probe it, plus one [`Fft`] twiddle table per
+//!   many candidates probe it, plus one FFT twiddle table per
 //!   transform size, shared across series of similar length.
 //! * **Results** — a `(query, series, metric) → (dist, offset)` memo, so
 //!   a candidate scored against the same instance by a later stage (or by
@@ -132,7 +133,7 @@ impl MinDistKey {
     }
 
     /// Identity of the request's series side — the longer slice, whose
-    /// [`SeriesPlan`] the cache keys by this value.
+    /// series plan the cache keys by this value.
     pub fn series(&self) -> SliceKey {
         self.1
     }
@@ -187,11 +188,6 @@ impl DistCache {
         }
     }
 
-    /// The active kernel policy.
-    pub fn policy(&self) -> KernelPolicy {
-        self.policy
-    }
-
     /// Work counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -201,24 +197,9 @@ impl DistCache {
     /// graceful-degradation path: results are still served (by the naive
     /// loop) and each degraded eval is counted in
     /// [`CacheStats::kernel_fallbacks`]. Used by the fault-injection
-    /// harness; cleared with [`DistCache::clear_kernel_failure`].
+    /// harness.
     pub fn inject_kernel_failure(&mut self, reason: impl Into<String>) {
         self.forced_failure = Some(reason.into());
-    }
-
-    /// Clears a failure injected by [`DistCache::inject_kernel_failure`].
-    pub fn clear_kernel_failure(&mut self) {
-        self.forced_failure = None;
-    }
-
-    /// Number of memoized results.
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// True when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty()
     }
 
     /// Minimum sliding distance of `query` against `series` under `metric`,
@@ -270,12 +251,7 @@ impl DistCache {
         let use_kernel = match self.policy {
             KernelPolicy::ForceKernel => true,
             KernelPolicy::ForceNaive => false,
-            KernelPolicy::Auto => {
-                // one-off query: a forward + inverse transform, spectrum
-                // amortized over the series' lifetime in the cache
-                let fft_size = (2 * s.len()).saturating_sub(1).max(1).next_power_of_two();
-                kernel_profitable(metric, q.len(), s.len(), fft_size, 2.0)
-            }
+            KernelPolicy::Auto => kernel_profitable(metric, q.len(), s.len()),
         };
         if !use_kernel {
             return self.naive(q, s, metric, ks);
@@ -336,7 +312,6 @@ impl DistCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::naive_min_dist;
     use crate::euclid::sliding_min_dist_znorm;
 
     fn series(n: usize) -> Vec<f64> {
@@ -399,7 +374,6 @@ mod tests {
         b.min_dist(&s[12..30], &s, Metric::MeanSquared);
         a.absorb(b);
         assert_eq!(a.stats().kernel_evals, 3);
-        assert_eq!(a.len(), 2);
         // both entries now hit
         a.min_dist(&s[..10], &s, Metric::MeanSquared);
         a.min_dist(&s[12..30], &s, Metric::MeanSquared);
@@ -452,11 +426,6 @@ mod tests {
         assert_eq!(st.kernel_fallbacks, 1);
         assert_eq!(st.kernel_evals, 1); // partition invariant undisturbed
         assert_eq!(st.requests(), 1);
-
-        // clearing restores the kernel path: no new fallback
-        cache.clear_kernel_failure();
-        cache.min_dist(&s[70..100], &s, Metric::MeanSquared);
-        assert_eq!(cache.stats().kernel_fallbacks, 1);
     }
 
     #[test]
@@ -468,7 +437,7 @@ mod tests {
         let got = cache.min_dist(&q, &s, Metric::MeanSquared);
         // the naive loop skips NaN-touching windows, so a clean window wins
         assert!(got.0.is_finite());
-        assert_eq!(got, naive_min_dist(&q, &s, Metric::MeanSquared));
+        assert_eq!(got, sliding_min_dist(&q, &s));
         assert_eq!(cache.stats().kernel_fallbacks, 1);
     }
 

@@ -162,8 +162,7 @@ pub fn mean_sq_dist(a: &[f64], b: &[f64]) -> f64 {
 /// `(f64::INFINITY, 0)` — the same value as "no valid window" — and never
 /// propagates NaN to the caller. Callers that need to *distinguish*
 /// corrupt input from a genuine empty window set should validate up front
-/// (e.g. `Dataset::validate`) or use the checked batch entry point
-/// [`crate::batch_min_dist_checked`].
+/// (e.g. `Dataset::validate`).
 pub fn sliding_min_dist(query: &[f64], series: &[f64]) -> (f64, usize) {
     let (q, s) = if query.len() <= series.len() {
         (query, series)
@@ -284,8 +283,9 @@ pub fn dist_profile(query: &[f64], series: &[f64]) -> Vec<f64> {
 ///
 /// Runs in O(n·m) worst case but uses the dot-product identity
 /// `d² = 2m(1 − (qw − m·μq·μw)/(m·σq·σw))` with rolling window statistics,
-/// so the per-window cost is one dot product. `ips_distance::mass` provides
-/// the O(n log n) FFT version for long series.
+/// so the per-window cost is one dot product. The FFT/MASS kernel behind
+/// [`crate::DistCache`] reaches the minimum of this profile in O(n log n)
+/// for long series.
 pub fn dist_profile_znorm(query: &[f64], series: &[f64]) -> Vec<f64> {
     let m = query.len();
     if m == 0 || series.len() < m {
@@ -333,7 +333,7 @@ pub const ZNORM_SIGMA_FLOOR: f64 = 1e-6;
 
 /// True when `sd` is below the pinned zero-variance floor for a vector
 /// with mean `mu` — the single predicate every z-normalized distance path
-/// (naive profile, MASS, batch kernel, STOMP-style matrix profile) uses to
+/// (naive profile, the FFT/MASS kernel, STOMP-style matrix profile) uses to
 /// decide "this window is constant".
 #[inline]
 pub fn is_constant_sigma(sd: f64, mu: f64) -> bool {
@@ -341,8 +341,8 @@ pub fn is_constant_sigma(sd: f64, mu: f64) -> bool {
 }
 
 /// Converts a raw dot product and window statistics into the z-normalized
-/// Euclidean distance. Shared by the naive profile, MASS, the batch FFT
-/// kernel, and the STOMP-style matrix profile in `ips-profile` — so every
+/// Euclidean distance. Shared by the naive profile, the FFT/MASS kernel,
+/// and the STOMP-style matrix profile in `ips-profile` — so every
 /// path resolves zero-variance windows identically (see
 /// [`ZNORM_SIGMA_FLOOR`]):
 ///

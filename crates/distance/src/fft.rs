@@ -1,22 +1,22 @@
 //! A self-contained iterative radix-2 FFT.
 //!
 //! Built from scratch (no external DSP crates are available offline) to
-//! power the MASS sliding-dot-product kernel. Supports power-of-two sizes
-//! with zero-padding handled by the convolution helper.
+//! power the MASS sliding-dot-product kernel. Supports power-of-two sizes;
+//! the kernel's series plan zero-pads its inputs to one.
 
 /// A complex number. Minimal on purpose — only what the FFT needs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Complex {
+pub(crate) struct Complex {
     /// Real part.
-    pub re: f64,
+    pub(crate) re: f64,
     /// Imaginary part.
-    pub im: f64,
+    pub(crate) im: f64,
 }
 
 impl Complex {
     /// Constructs `re + im·i`.
     #[inline]
-    pub fn new(re: f64, im: f64) -> Self {
+    pub(crate) fn new(re: f64, im: f64) -> Self {
         Self { re, im }
     }
 
@@ -40,7 +40,7 @@ impl Complex {
 
     /// Complex conjugate.
     #[inline]
-    pub fn conj(self) -> Self {
+    fn conj(self) -> Self {
         Self::new(self.re, -self.im)
     }
 }
@@ -49,7 +49,7 @@ impl Complex {
 /// precomputed once so repeated transforms (as in MASS over many queries)
 /// avoid redundant trigonometry.
 #[derive(Debug, Clone)]
-pub struct Fft {
+pub(crate) struct Fft {
     n: usize,
     // twiddles[k] = exp(-2πik/n) for k in 0..n/2
     twiddles: Vec<Complex>,
@@ -60,7 +60,7 @@ impl Fft {
     ///
     /// # Panics
     /// Panics when `n` is zero or not a power of two.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(
             n.is_power_of_two() && n > 0,
             "FFT size must be a power of two, got {n}"
@@ -76,27 +76,21 @@ impl Fft {
 
     /// The transform size.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// Plans are never empty; kept for API symmetry.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// In-place forward FFT.
     ///
     /// # Panics
     /// Panics when `data.len() != self.len()`.
-    pub fn forward(&self, data: &mut [Complex]) {
+    pub(crate) fn forward(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.n);
         self.transform(data);
     }
 
     /// In-place inverse FFT (including the 1/n scaling).
-    pub fn inverse(&self, data: &mut [Complex]) {
+    pub(crate) fn inverse(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.n);
         for x in data.iter_mut() {
             *x = x.conj();
@@ -141,33 +135,30 @@ impl Fft {
     }
 }
 
-/// Linear convolution of two real signals via FFT, truncated to the full
-/// convolution length `a.len() + b.len() - 1`. Returns empty when either
-/// input is empty.
-pub fn fft_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let out_len = a.len() + b.len() - 1;
-    let n = out_len.next_power_of_two();
-    let fft = Fft::new(n);
-    let mut fa: Vec<Complex> = a.iter().map(|&x| Complex::new(x, 0.0)).collect();
-    fa.resize(n, Complex::default());
-    let mut fb: Vec<Complex> = b.iter().map(|&x| Complex::new(x, 0.0)).collect();
-    fb.resize(n, Complex::default());
-    fft.forward(&mut fa);
-    fft.forward(&mut fb);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x = x.mul(*y);
-    }
-    fft.inverse(&mut fa);
-    fa.truncate(out_len);
-    fa.into_iter().map(|c| c.re).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Linear convolution through the transform, the way the kernel uses
+    /// it: zero-pad both signals to a power of two, multiply the spectra,
+    /// invert.
+    fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
+        let out_len = a.len() + b.len() - 1;
+        let fft = Fft::new(out_len.next_power_of_two());
+        let spectrum = |xs: &[f64]| {
+            let mut buf: Vec<Complex> = xs.iter().map(|&x| Complex::new(x, 0.0)).collect();
+            buf.resize(fft.len(), Complex::default());
+            fft.forward(&mut buf);
+            buf
+        };
+        let mut prod: Vec<Complex> = spectrum(a)
+            .iter()
+            .zip(&spectrum(b))
+            .map(|(x, y)| x.mul(*y))
+            .collect();
+        fft.inverse(&mut prod);
+        prod[..out_len].iter().map(|c| c.re).collect()
+    }
 
     fn naive_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; a.len() + b.len() - 1];
@@ -227,7 +218,7 @@ mod tests {
     fn convolution_matches_naive() {
         let a: Vec<f64> = (0..13).map(|i| (i as f64 * 0.31).sin()).collect();
         let b: Vec<f64> = (0..7).map(|i| (i as f64 * 0.17).cos()).collect();
-        let fast = fft_convolve(&a, &b);
+        let fast = convolve(&a, &b);
         let slow = naive_convolve(&a, &b);
         assert_eq!(fast.len(), slow.len());
         for (x, y) in fast.iter().zip(&slow) {
@@ -236,15 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn convolution_empty_inputs() {
-        assert!(fft_convolve(&[], &[1.0]).is_empty());
-        assert!(fft_convolve(&[1.0], &[]).is_empty());
-    }
-
-    #[test]
     fn convolution_identity() {
         let a = [1.0, 2.0, 3.0];
-        let out = fft_convolve(&a, &[1.0]);
+        let out = convolve(&a, &[1.0]);
         for (x, y) in out.iter().zip(&a) {
             assert!((x - y).abs() < 1e-12);
         }

@@ -1,8 +1,10 @@
-//! Property-based equivalence suite for the batch FFT/MASS kernel.
+//! Property-based equivalence suite for the FFT/MASS kernel.
 //!
-//! Pins `batch_min_dist` (and the `mass`-derived minimum) against the naive
-//! references `sliding_min_dist{,_znorm}` over random inputs with lengths
-//! 1..=64, including the adversarial shapes the kernel must not get wrong:
+//! Pins the kernel, reached the way every fit and served request reaches
+//! it — through a `DistCache` (here forced onto the kernel with
+//! `KernelPolicy::ForceKernel`) — against the naive references
+//! `sliding_min_dist{,_znorm}` over random inputs with lengths 1..=64,
+//! including the adversarial shapes the kernel must not get wrong:
 //! constant (zero-variance) windows, constant queries, fully flat series,
 //! and queries longer than the series.
 //!
@@ -14,7 +16,8 @@
 //!
 //! ## Contracts pinned here
 //!
-//! * **Distance**: kernel and naive minima agree within `1e-9·(1+|d|)`.
+//! * **Distance**: kernel and naive minima agree within `1e-9·(1+|d|)`,
+//!   and the kernel never reports a negative distance.
 //! * **Offset**: the returned offset is a *valid* argmin — recomputing the
 //!   naive distance at that offset reproduces the minimum. (Exact offset
 //!   equality is deliberately not asserted: on inputs with exactly tied
@@ -27,15 +30,15 @@
 //!   `DistCache` that serves many queries from one series plan returns the
 //!   same bits as the unplanned call.
 //! * **Zero-σ convention** (owned by `znorm_dist_from_dot`, shared by the
-//!   naive profile, MASS, and the kernel): both sides constant → distance
+//!   naive profile and the kernel): both sides constant → distance
 //!   exactly `0`; exactly one side constant → z-ED exactly `√m`, i.e.
 //!   `sliding_min_dist_znorm`'s mean-squared scale reports `m/m = 1.0`.
 //!   Guarded flat inputs must never produce NaN (a NaN entry would poison
 //!   a strict `<` argmin scan, which never accepts NaN).
 
 use ips_distance::{
-    argmin, batch_min_dist_with, dist_profile_znorm, mass, mean_sq_dist, min_dist_key,
-    sliding_min_dist, sliding_min_dist_znorm, DistCache, KernelPolicy, Metric,
+    argmin, dist_profile_znorm, mean_sq_dist, min_dist_key, sliding_min_dist,
+    sliding_min_dist_znorm, DistCache, KernelPolicy, Metric,
 };
 
 /// splitmix64 — deterministic, seedable, no dependencies.
@@ -106,11 +109,21 @@ fn dist_at(q: &[f64], s: &[f64], offset: usize, metric: Metric) -> f64 {
     }
 }
 
-/// Core property: forced-kernel batch output matches the naive reference in
-/// value, and its offset witnesses the minimum.
+/// One request on the kernel path, through a fresh cache.
+fn kernel(q: &[f64], s: &[f64], metric: Metric) -> (f64, usize) {
+    DistCache::with_policy(KernelPolicy::ForceKernel).min_dist(q, s, metric)
+}
+
+/// Core property: the forced kernel matches the naive reference in value,
+/// and its offset witnesses the minimum.
 fn check_equivalence(q: &[f64], s: &[f64], metric: Metric, tag: &str) {
-    let out = batch_min_dist_with(&[q], s, metric, KernelPolicy::ForceKernel)[0];
+    let out = kernel(q, s, metric);
     let reference = naive(q, s, metric);
+    assert!(
+        out.0 >= 0.0,
+        "{tag} {metric:?}: negative kernel distance {}",
+        out.0
+    );
     assert!(
         close(out.0, reference.0),
         "{tag} {metric:?}: kernel {} vs naive {} (q.len={}, s.len={})",
@@ -182,19 +195,14 @@ fn mass_derived_min_matches_naive_znorm() {
         let s = g.vec(slen);
         let qlen = g.usize_in(1, s.len());
         let q = g.vec(qlen);
-        let profile = mass(&q, &s);
-        assert!(
-            profile.iter().all(|v| v.is_finite()),
-            "case {case}: NaN/inf in profile"
-        );
-        let m = q.len() as f64;
-        let best = profile.iter().cloned().fold(f64::INFINITY, f64::min);
+        // q.len() ≤ s.len(): the kernel runs unswapped, and its minimum is
+        // MASS's best z-normalized distance on the mean-squared scale
+        let (got, _) = kernel(&q, &s, Metric::ZNormEuclidean);
         let reference = sliding_min_dist_znorm(&q, &s).0;
+        assert!(got.is_finite(), "case {case}: non-finite MASS minimum");
         assert!(
-            close(best * best / m, reference),
-            "case {case}: mass-derived {} vs naive {}",
-            best * best / m,
-            reference
+            close(got, reference),
+            "case {case}: mass-derived {got} vs naive {reference}"
         );
     }
 }
@@ -237,37 +245,16 @@ fn flat_series_regression_no_nan_poisoning() {
     let flat = vec![3.25; 48];
     let q: Vec<f64> = (0..9).map(|i| (i as f64 * 0.7).sin()).collect();
 
-    // MASS profile over a flat series: every window is constant, the query
-    // is not → every entry is exactly √m (the one-side-constant convention)
-    let profile = mass(&q, &flat);
-    assert!(
-        profile.iter().all(|v| v.is_finite()),
-        "NaN leaked from zero-σ windows"
-    );
-    for v in &profile {
-        assert_eq!(*v, (q.len() as f64).sqrt());
-    }
-
+    // every window of a flat series is constant and the query is not, so
+    // every z-ED is exactly √m (the one-side-constant convention) and
     // naive and kernel minima agree on the pinned value m/m = 1.0
     assert_eq!(sliding_min_dist_znorm(&q, &flat), (1.0, 0));
-    let kernel = batch_min_dist_with(
-        &[&q],
-        &flat,
-        Metric::ZNormEuclidean,
-        KernelPolicy::ForceKernel,
-    )[0];
-    assert_eq!(kernel.0, 1.0);
+    assert_eq!(kernel(&q, &flat, Metric::ZNormEuclidean).0, 1.0);
 
     // flat vs flat (different levels): identical after z-normalization
     let flat_q = vec![-7.5; 6];
     assert_eq!(sliding_min_dist_znorm(&flat_q, &flat), (0.0, 0));
-    let kernel = batch_min_dist_with(
-        &[&flat_q],
-        &flat,
-        Metric::ZNormEuclidean,
-        KernelPolicy::ForceKernel,
-    )[0];
-    assert_eq!(kernel.0, 0.0);
+    assert_eq!(kernel(&flat_q, &flat, Metric::ZNormEuclidean).0, 0.0);
 }
 
 #[test]
@@ -276,7 +263,7 @@ fn query_longer_than_series_follows_swap_semantics() {
     let s = g.vec(12);
     let q = g.vec(40);
     for metric in [Metric::MeanSquared, Metric::ZNormEuclidean] {
-        let out = batch_min_dist_with(&[&q], &s, metric, KernelPolicy::ForceKernel)[0];
+        let out = kernel(&q, &s, metric);
         let reference = naive(&q, &s, metric);
         assert!(close(out.0, reference.0), "{metric:?}");
     }

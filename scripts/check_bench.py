@@ -21,9 +21,10 @@ committed ``results/BENCH_pipeline.baseline.json``:
 ``--append-trajectory [PATH]`` additionally appends one JSON line per
 invocation to a trajectory file (default
 ``results/BENCH_trajectory.jsonl``) summarizing the fresh results — git
-revision, per-run ``fit.total`` milliseconds, the summed total, and the
-gate outcome — so per-PR performance history accumulates in one
-greppable place instead of being overwritten by each regeneration.
+revision, whether the tree was dirty, per-run ``fit.total`` milliseconds,
+the summed total, and the gate outcome — so per-PR performance history
+accumulates in one greppable place instead of being overwritten by each
+regeneration.
 
 ``--scaling`` switches to the scaling frontier (DESIGN.md §13): it
 diffs ``results/BENCH_scaling.json`` (written by ``cargo run -p
@@ -913,21 +914,42 @@ def serve_self_test(baseline_doc, baseline_runs, max_ratio):
     return 0
 
 
-def git_revision():
-    """Current short revision, or None outside a git checkout."""
+def git_output(args, repo=None):
+    """Stdout of ``git <args>`` run in `repo` (default: the current
+    directory), or None when git fails or this is not a checkout."""
     import subprocess
 
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
+            cwd=repo,
             capture_output=True,
             text=True,
             timeout=10,
             check=True,
         )
-        return out.stdout.strip() or None
+        return out.stdout
     except Exception:
         return None
+
+
+def git_revision(repo=None):
+    """Current short revision, or None outside a git checkout."""
+    out = git_output(["rev-parse", "--short", "HEAD"], repo)
+    return (out or "").strip() or None
+
+
+def git_dirty(repo=None):
+    """True when tracked files outside ``results/`` differ from ``HEAD``
+    (None outside a git checkout). ``results/`` is excluded because the
+    bench steps rewrite its documents before the trajectory is appended;
+    anything else uncommitted means ``git_rev`` does not name the code
+    that was measured."""
+    out = git_output(
+        ["diff", "--name-only", "HEAD", "--", ":(top)", ":(top,exclude)results"],
+        repo,
+    )
+    return None if out is None else bool(out.strip())
 
 
 def grid_fit_totals(path="results/GRID.json"):
@@ -981,14 +1003,17 @@ def append_trajectory(
     failures,
     grid_path="results/GRID.json",
     serve_path="results/BENCH_serve.json",
+    repo=None,
 ):
     """Appends a one-line JSON record for this invocation to `path`.
 
     The record carries what a reviewer needs to read performance history
     across PRs without the full result documents: when, at which
-    revision, how long each run's fit took (plus the grid's per-method
+    revision (``dirty`` when the measured code was uncommitted changes on
+    top of it), how long each run's fit took (plus the grid's per-method
     totals when ``results/GRID.json`` exists), and whether the gate
-    passed.
+    passed. `repo` is the checkout to read the revision from (default:
+    the current directory).
     """
     import datetime
     import os
@@ -997,7 +1022,8 @@ def append_trajectory(
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
-        "git_rev": git_revision(),
+        "git_rev": git_revision(repo),
+        "dirty": git_dirty(repo),
         "gate": "pass" if not failures else "fail",
         "failures": len(failures),
         "fit_total_ms": {
@@ -1069,7 +1095,8 @@ def self_test_load_errors():
 def self_test_trajectory(baseline):
     """Exercises the trajectory writer against scratch documents: serve
     throughput fields must appear when a serve document exists and must
-    be absent when it does not."""
+    be absent when it does not, and ``dirty`` must tell a committed tree
+    from uncommitted source edits in a scratch checkout."""
     import os
     import tempfile
 
@@ -1120,6 +1147,42 @@ def self_test_trajectory(baseline):
             problems.append(
                 "serve_throughput present even though no serve document exists"
             )
+
+        # `dirty` in a scratch checkout: clean at a commit, still clean
+        # when only results/ changed, dirty when any other tracked file did
+        repo = os.path.join(tmp, "repo")
+        os.makedirs(os.path.join(repo, "results"))
+        for name in ("code.rs", os.path.join("results", "BENCH.json")):
+            with open(os.path.join(repo, name), "w", encoding="utf-8") as f:
+                f.write("v1\n")
+        for args in (
+            ["init", "-q"],
+            ["add", "-A"],
+            ["-c", "user.name=t", "-c", "user.email=t@t", "-c",
+             "commit.gpgsign=false", "commit", "-q", "-m", "init"],
+        ):
+            if git_output(args, repo) is None:
+                problems.append(f"scratch checkout: git {args[0]} failed")
+                return problems
+        traj = os.path.join(tmp, "dirty.jsonl")
+
+        def dirty_after(name, expected, what):
+            if name is not None:
+                with open(os.path.join(repo, name), "w", encoding="utf-8") as f:
+                    f.write("v2\n")
+            append_trajectory(
+                traj, baseline, [], grid_path=missing, serve_path=missing, repo=repo
+            )
+            record = last_record(traj)
+            if record.get("dirty") is not expected or not record.get("git_rev"):
+                problems.append(
+                    f"{what}: trajectory records dirty={record.get('dirty')!r} "
+                    f"git_rev={record.get('git_rev')!r}, want dirty={expected}"
+                )
+
+        dirty_after(None, False, "committed tree")
+        dirty_after(os.path.join("results", "BENCH.json"), False, "results/ rewritten")
+        dirty_after("code.rs", True, "tracked source edited")
     return problems
 
 
@@ -1159,7 +1222,7 @@ def self_test(baseline, max_ratio):
     print(
         f"self-test OK: loader errors are one-line and actionable, identity "
         f"passes, 2x slowdown raises {len(wall_failures)} wall-time failure(s), "
-        f"trajectory folds serve throughput"
+        f"trajectory folds serve throughput and flags a dirty tree"
     )
     return 0
 

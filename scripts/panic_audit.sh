@@ -21,6 +21,8 @@ AUDITED_FILES=(
     crates/core/src/sampling.rs
     crates/core/src/schedule.rs
     crates/core/src/utility.rs
+    crates/distance/src/batch.rs
+    crates/distance/src/cache.rs
     crates/profile/src/instance.rs
     crates/serve/src/persist.rs
     crates/serve/src/registry.rs
@@ -44,6 +46,12 @@ ALLOWLIST=(
     'a.value.partial_cmp(&b.value).expect("finite")'
     '.min_by(|a, b| a.value.partial_cmp(&b.value).expect("finite"))'
     '.max_by(|a, b| a.value.partial_cmp(&b.value).expect("finite"))'
+    # SeriesPlan::stats_for: the `last()` directly follows a `push` onto
+    # the same vector, so it is always Some.
+    '&self.stats.last().unwrap().1'
+    # SeriesPlan::dots: `ensure_spectrum` on the line before sets the
+    # spectrum whenever it is None.
+    'self.spectrum.as_ref().expect("spectrum just built")'
 )
 
 status=0

@@ -2,7 +2,7 @@
 //! real on-disk format, registry determinism, and profile invariants over
 //! generated data.
 
-use ips::distance::{dist_profile_znorm, mass};
+use ips::distance::{argmin, dist_profile_znorm, DistCache, KernelPolicy};
 use ips::profile::{InstanceProfile, MatrixProfile, Metric};
 use ips::tsdata::{registry, ucr};
 
@@ -70,9 +70,11 @@ fn mass_agrees_with_reference_on_real_generated_series() {
     let (train, _) = registry::load("ECG200").expect("registry dataset");
     let s = train.series(0).values();
     let q = &train.series(1).values()[10..40];
-    let fast = mass(q, s);
-    let slow = dist_profile_znorm(q, s);
-    for (a, b) in fast.iter().zip(&slow) {
-        assert!((a - b).abs() < 1e-6);
-    }
+    let (d, at) =
+        DistCache::with_policy(KernelPolicy::ForceKernel).min_dist(q, s, Metric::ZNormEuclidean);
+    let (want_at, want) = argmin(&dist_profile_znorm(q, s)).expect("a finite window");
+    // the kernel reports the mean-squared scale: z-ED² / m
+    let want = want * want / q.len() as f64;
+    assert!((d - want).abs() < 1e-9 * (1.0 + want), "{d} vs {want}");
+    assert_eq!(at, want_at);
 }

@@ -67,10 +67,11 @@ impl Shapelet {
         }
     }
 
-    /// [`distance_to`](Self::distance_to) routed through a memoizing
-    /// FFT/MASS distance cache. The cache's crossover heuristic keeps the
-    /// naive loop for short inputs, so the value matches `distance_to` up
-    /// to FFT rounding (~1e-9 relative).
+    /// [`distance_to`](Self::distance_to) routed through the FFT/MASS
+    /// distance cache, which reuses the series' plan across calls. The
+    /// cache's crossover heuristic keeps the naive loop for short inputs,
+    /// so the value matches `distance_to` up to FFT rounding (~1e-9
+    /// relative).
     pub fn distance_to_cached(&self, series: &[f64], znorm: bool, cache: &mut DistCache) -> f64 {
         let metric = if znorm {
             Metric::ZNormEuclidean
@@ -135,9 +136,9 @@ impl ShapeletTransform {
     }
 
     /// [`transform_one`](Self::transform_one) drawing distances from a
-    /// shared cache: each series' FFT spectrum is planned once and reused
-    /// across all shapelets, and (shapelet, series) pairs already scored
-    /// during discovery are memo hits.
+    /// shared cache: each series' plan (window statistics, FFT spectrum)
+    /// is built once and reused across all shapelets — and across stages,
+    /// when the cache comes from discovery.
     pub fn transform_one_with_cache(&self, series: &TimeSeries, cache: &mut DistCache) -> Vec<f64> {
         self.shapelets
             .iter()
@@ -251,13 +252,15 @@ mod tests {
             let cached = t.transform_with_cache(&d, &mut cache);
             assert_eq!(plain, cached, "znorm={znorm}");
         }
-        // a second pass over the same data is pure memo hits
+        // a second pass over the same data reuses every plan: same
+        // features, one more eval per (shapelet, series) pair, no hits
         let mut cache = DistCache::new();
-        t.transform_with_cache(&d, &mut cache);
+        let first = t.transform_with_cache(&d, &mut cache);
         let evals = cache.stats().kernel_evals;
-        t.transform_with_cache(&d, &mut cache);
-        assert_eq!(cache.stats().kernel_evals, evals);
-        assert_eq!(cache.stats().cache_hits, evals);
+        assert_eq!(evals, t.dim() * d.len());
+        assert_eq!(t.transform_with_cache(&d, &mut cache), first);
+        assert_eq!(cache.stats().kernel_evals, 2 * evals);
+        assert_eq!(cache.stats().cache_hits, 0);
     }
 
     #[test]

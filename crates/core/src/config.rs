@@ -161,8 +161,9 @@ pub struct IpsConfig {
     /// a throughput knob. Default `1` (sequential).
     pub num_threads: usize,
     /// Route exact utility scoring (and the classifier's shapelet
-    /// transform) through the memoizing FFT/MASS distance cache
-    /// (`ips_distance::DistCache`). The cache's `Auto` crossover still
+    /// transform) through the FFT/MASS distance cache
+    /// (`ips_distance::DistCache`, which shares per-series plans across
+    /// requests). The cache's `Auto` crossover still
     /// falls back to the naive early-abandoning loop for short
     /// queries/series, so this is a throughput knob: selected shapelets
     /// are identical either way (pinned by the engine equivalence suite).

@@ -24,9 +24,9 @@
 //! pure function of immutable inputs, and item outputs merge in fixed
 //! class-major order. The partition depends only on the workload and the
 //! [`chunk_size`](crate::IpsConfig::chunk_size) knob — never the thread
-//! count — so results *and* counters are bit-identical to the sequential
-//! path at any thread count and chunk size (enforced by the
-//! `engine_equivalence` test suite).
+//! count — so results are bit-identical to the monolithic reference at
+//! any thread count and chunk size, and counters at any thread count
+//! (enforced by the `engine_equivalence` test suite).
 //!
 //! **Robustness contract** (DESIGN.md §10): the engine never aborts on
 //! malformed input or a misbehaving stage. Configurations and training
@@ -61,9 +61,7 @@ use crate::pruning::{
 };
 use crate::schedule::TaskPartition;
 use crate::topk::select_class_from_scores;
-use crate::utility::{
-    exact_request_plan, score_class, score_exact_replay, ClassRequests, ScoreMode,
-};
+use crate::utility::{exact_request_plan, score_dt_cr_counted, score_exact_replay, ClassRequests};
 
 // ---------------------------------------------------------------------------
 // Telemetry: stages, counters, reports, observers
@@ -121,7 +119,9 @@ pub struct StageCounters {
     /// served by the FFT kernel or the naive fallback). Zero when the
     /// cache is off or the stage issues no sliding distances.
     pub kernel_evals: usize,
-    /// Sliding distances served from the cache memo.
+    /// Sliding-distance requests answered from an earlier request's
+    /// distance: the duplicates exact scoring's request plan dropped
+    /// before any shard computed them. Zero when the cache is off.
     pub cache_hits: usize,
     /// Kernel evaluations that degraded to the naive scorer (non-finite
     /// input or an injected kernel failure). Always a subset of
@@ -464,10 +464,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Reusable scratch state shared across stages of one run: recycled
-/// buffers for the sequential scoring path, and the run's accumulated
-/// [`DistCache`] — per-series FFT plans and memoized min-distances that
-/// later stages (and, via [`ExecContext::take_dist_cache`], the shapelet
-/// transform after discovery) reuse instead of recomputing.
+/// buffers for the exact-scoring replay pass, and the run's accumulated
+/// [`DistCache`] — per-series plans (window statistics, FFT spectra) and
+/// FFT tables that later stages (and, via
+/// [`ExecContext::take_dist_cache`], the shapelet transform after
+/// discovery) reuse instead of recomputing.
 #[derive(Debug, Default)]
 pub struct Scratch {
     f64_bufs: Vec<Vec<f64>>,
@@ -583,7 +584,7 @@ impl<'o> ExecContext<'o> {
 
     /// Detaches the run's accumulated distance cache — the classifier
     /// hands it to the shapelet transform so the transform starts from the
-    /// FFT plans and memoized distances discovery already paid for.
+    /// training series' plans discovery already built.
     pub fn take_dist_cache(&mut self) -> DistCache {
         std::mem::take(self.scratch.dist_cache())
     }
@@ -698,8 +699,9 @@ pub struct Selection {
     /// Utility evaluations performed (distance *requests* when the
     /// distance cache is active).
     pub utility_evals: usize,
-    /// Distance-cache work: computed evaluations + memo hits. Zero for
-    /// selectors that issue no sliding distances (DT+CR, rank-based).
+    /// Distance-cache work: computed evaluations + deduplicated requests.
+    /// Zero for selectors that issue no sliding distances (DT+CR,
+    /// rank-based).
     pub cache_stats: CacheStats,
     /// True when a [`DiscoveryBudget`](crate::config::DiscoveryBudget)
     /// deadline cut scoring short — the shapelets are the best of the
@@ -1174,31 +1176,33 @@ impl Pruner for NoopPruner {
 /// Algorithm 4 as a [`Selector`]: utility scoring (exact or DT+CR)
 /// followed by the diversity-guarded priority-queue poll.
 ///
-/// The exact path runs as a three-pass scheduler pipeline that is
-/// bit-identical to sequential scoring at any thread count *and* chunk
-/// size:
+/// Exact scoring runs as a three-pass scheduler pipeline that is
+/// bit-identical at any thread count *and* chunk size:
 ///
 /// 1. **Record** — `exact_request_plan` enumerates each class's
 ///    sliding-distance requests without computing any (the scoring core
 ///    has no distance-value-dependent control flow), dedupes them by the
-///    cache's own memo key (hashing each distinct slice once), and groups
-///    the distinct requests by oriented series.
+///    content keys of the oriented `(query, series)` pair (hashing each
+///    distinct slice once), and groups the distinct requests by series.
 /// 2. **Compute** — the per-class *unique* request lists are cut into
 ///    [`TaskPartition`] batches; each batch resolves its slice against a
-///    fresh cache shard by key, meeting each series' requests in one run
-///    so the shard builds that series' window statistics once per query
-///    length. All keys in a class are distinct, so shard counters sum to
-///    exactly the sequential memo's evals regardless of the order or of
-///    where the batch boundaries fall.
-/// 3. **Replay** — `score_exact_replay` re-runs the scoring core
-///    sequentially per class, feeding request *r* its precomputed
-///    distance: the floating-point accumulation order is the sequential
-///    path's, untouched by the chunking.
+///    fresh cache shard by series key, meeting each series' requests in
+///    one run so the shard builds that series' window statistics once per
+///    query length. Every shard request is one eval, so the shards' evals
+///    sum to the class's distinct requests wherever the batch boundaries
+///    fall; the duplicates the plan dropped are booked as `cache_hits`.
+/// 3. **Replay** — `score_exact_replay` re-runs the scoring core per
+///    class, feeding request *r* its precomputed distance: the
+///    floating-point accumulation order is the reference scorer's
+///    ([`crate::score_exact`]), untouched by the chunking.
 ///
 /// DT+CR scores over a class's rank table are inherently class-granular
-/// and run on a [`TaskPartition::per_class`] partition; a wall-clock
-/// budget forces the legacy sequential path (the deadline is checked
-/// between classes).
+/// and run on a [`TaskPartition::per_class`] partition.
+///
+/// Without a wall-clock budget all classes are scored as one batch. Under
+/// a budget the same pipeline scores one class per batch and the deadline
+/// is checked between batches; at least one class is always scored, so a
+/// degraded run still yields its best-so-far.
 pub struct UtilitySelector {
     config: IpsConfig,
 }
@@ -1207,6 +1211,83 @@ impl UtilitySelector {
     /// A selector for one configuration.
     pub fn new(config: IpsConfig) -> Self {
         Self { config }
+    }
+
+    /// Exact scoring of one batch of classes: record → compute
+    /// (scheduled) → replay. Each class's shards fold into the run cache
+    /// in class order; their counters and the plan's duplicates (when the
+    /// cache is on) accumulate into `stats`.
+    fn score_exact_batch(
+        &self,
+        pool: &CandidatePool,
+        train: &Dataset,
+        classes: &[u32],
+        ctx: &mut ExecContext,
+        stats: &mut CacheStats,
+    ) -> Vec<(Vec<f64>, usize)> {
+        // Each work item draws its sliding distances from a *fresh* cache
+        // shard (not the shared run cache), so counters are identical at
+        // every thread count.
+        let use_cache = self.config.use_fft_kernel;
+        let inject_kernel = ctx.faults().kernel_error;
+        let make_cache = || {
+            // The kernel fault forces the kernel *path* too (ForceKernel):
+            // under the Auto crossover small inputs would never attempt the
+            // FFT and the injected failure would be vacuous. Every eval
+            // then attempts the kernel, fails, and must degrade cleanly.
+            use_cache.then(|| {
+                if inject_kernel {
+                    let mut cache = DistCache::with_policy(ips_distance::KernelPolicy::ForceKernel);
+                    cache.inject_kernel_failure();
+                    cache
+                } else {
+                    DistCache::new()
+                }
+            })
+        };
+        let plans: Vec<ClassRequests> = classes
+            .iter()
+            .map(|&c| exact_request_plan(pool, train, c))
+            .collect();
+        let units: Vec<usize> = plans.iter().map(|p| p.unique.len()).collect();
+        let partition = TaskPartition::new(&units, self.config.chunk_size);
+        ctx.note_sched_items(Stage::TopK, partition.len());
+        let metric = self.config.metric;
+        let per_item = partition.run(&ctx.workers(), |item| {
+            let mut cache = make_cache();
+            let dists: Vec<f64> = plans[item.class_idx].unique[item.start..item.end]
+                .iter()
+                .map(|r| r.resolve(metric, cache.as_mut()))
+                .collect();
+            (dists, cache)
+        });
+        let grouped = partition.group_by_class(per_item);
+        let mut buf = ctx.scratch().take_f64();
+        let mut out = Vec::with_capacity(classes.len());
+        for ((&c, plan), chunks) in classes.iter().zip(&plans).zip(grouped) {
+            let mut unique_dists = Vec::with_capacity(plan.unique.len());
+            for (dists, shard) in chunks {
+                unique_dists.extend(dists);
+                if let Some(shard) = shard {
+                    stats.merge(&shard.stats());
+                    ctx.scratch().absorb_dist_cache(shard);
+                }
+            }
+            if use_cache {
+                // Repeats answered from an earlier request's distance.
+                stats.cache_hits += plan.duplicate_requests();
+            }
+            out.push(score_exact_replay(
+                pool,
+                train,
+                c,
+                &mut buf,
+                plan,
+                &unique_dists,
+            ));
+        }
+        ctx.scratch().recycle_f64(buf);
+        out
     }
 }
 
@@ -1220,134 +1301,40 @@ impl Selector for UtilitySelector {
     ) -> Result<Selection, IpsError> {
         // DT requires a DABF; fall back to exact scoring when pruning ran
         // without one, even if DT+CR was requested.
-        let mode = match (self.config.use_dt_cr, dabf) {
-            (true, Some(d)) => ScoreMode::DtCr(d),
-            _ => ScoreMode::Exact,
-        };
+        let dt_dabf = dabf.filter(|_| self.config.use_dt_cr);
         let classes = pool.classes();
-        let workers = ctx.workers();
-        // The exact path draws its sliding distances from a *fresh
-        // per-class* cache (not the shared run cache), so hit/eval
-        // counters are identical at every thread count; the per-class
-        // caches are folded into the run cache in class order below.
-        let use_cache = self.config.use_fft_kernel && matches!(mode, ScoreMode::Exact);
-        let inject_kernel = ctx.faults().kernel_error;
-        let make_cache = || {
-            // The kernel fault forces the kernel *path* too (ForceKernel):
-            // under the Auto crossover small inputs would never attempt the
-            // FFT and the injected failure would be vacuous. Every eval
-            // then attempts the kernel, fails, and must degrade cleanly.
-            let mut cache = use_cache.then(|| {
-                if inject_kernel {
-                    DistCache::with_policy(ips_distance::KernelPolicy::ForceKernel)
-                } else {
-                    DistCache::new()
-                }
-            });
-            if inject_kernel {
-                if let Some(c) = cache.as_mut() {
-                    c.inject_kernel_failure("fault plan: kernel_error");
-                }
-            }
-            cache
-        };
-        let deadline = ctx.deadline();
-        let mut degraded = false;
-        // A wall-clock budget forces the sequential path: the deadline is
-        // checked between classes, and at least one class is always
-        // scored so a degraded run still yields its best-so-far.
-        let scored: Vec<(Vec<f64>, usize, Option<DistCache>)> = if deadline.is_some() {
-            // Sequential path: reuse one scratch accumulator across
-            // all classes instead of reallocating per class.
-            let mut buf = ctx.scratch().take_f64();
-            let mut out = Vec::with_capacity(classes.len());
-            for (i, &c) in classes.iter().enumerate() {
-                if i > 0 && deadline.is_some_and(|d| Instant::now() >= d) {
-                    degraded = true;
-                    break;
-                }
-                let mut cache = make_cache();
-                let (scores, evals) =
-                    score_class(pool, train, &self.config, c, mode, &mut buf, cache.as_mut());
-                out.push((scores, evals, cache));
-            }
-            ctx.scratch().recycle_f64(buf);
-            out
-        } else if let ScoreMode::DtCr(_) = mode {
-            // Rank-table scoring is class-granular by nature: one work
-            // item per class (every listed class holds ≥ 1 candidate, so
-            // items align 1:1 with `classes` in class order).
-            let units: Vec<usize> = classes.iter().map(|&c| pool.of_class(c).len()).collect();
-            let partition = TaskPartition::per_class(&units);
-            ctx.note_sched_items(Stage::TopK, partition.len());
-            partition.run(&workers, |item| {
-                let mut buf = Vec::new();
-                let (scores, evals) = score_class(
-                    pool,
-                    train,
-                    &self.config,
-                    classes[item.class_idx],
-                    mode,
-                    &mut buf,
-                    None,
-                );
-                (scores, evals, None)
-            })
+        let batch_len = if ctx.deadline().is_some() {
+            1
         } else {
-            // Exact scoring: record → compute (scheduled) → replay.
-            let plans: Vec<ClassRequests> = classes
-                .iter()
-                .map(|&c| exact_request_plan(pool, train, &self.config, c))
-                .collect();
-            let units: Vec<usize> = plans.iter().map(|p| p.unique.len()).collect();
-            let partition = TaskPartition::new(&units, self.config.chunk_size);
-            ctx.note_sched_items(Stage::TopK, partition.len());
-            let metric = self.config.metric;
-            let per_item = partition.run(&workers, |item| {
-                let mut cache = make_cache();
-                let dists: Vec<f64> = plans[item.class_idx].unique[item.start..item.end]
-                    .iter()
-                    .map(|r| r.resolve(metric, cache.as_mut()))
-                    .collect();
-                (dists, cache)
-            });
-            let grouped = partition.group_by_class(per_item);
-            let mut buf = ctx.scratch().take_f64();
-            let mut out = Vec::with_capacity(classes.len());
-            for ((&c, plan), chunks) in classes.iter().zip(&plans).zip(grouped) {
-                let mut unique_dists = Vec::with_capacity(plan.unique.len());
-                let mut class_cache: Option<DistCache> = None;
-                for (dists, shard) in chunks {
-                    unique_dists.extend(dists);
-                    if let Some(shard) = shard {
-                        match class_cache.as_mut() {
-                            Some(cc) => cc.absorb(shard),
-                            None => class_cache = Some(shard),
-                        }
-                    }
-                }
-                if let Some(cc) = class_cache.as_mut() {
-                    // The requests a sequential per-class memo would have
-                    // served from its memo — deduped up front here, so
-                    // they never reached a shard.
-                    cc.note_hits(plan.duplicate_requests());
-                }
-                let (scores, evals) =
-                    score_exact_replay(pool, train, &self.config, c, &mut buf, plan, &unique_dists);
-                out.push((scores, evals, class_cache));
-            }
-            ctx.scratch().recycle_f64(buf);
-            out
+            classes.len().max(1)
         };
+        let mut scored = Vec::with_capacity(classes.len());
+        let mut cache_stats = CacheStats::default();
+        let mut degraded = false;
+        for (i, batch) in classes.chunks(batch_len).enumerate() {
+            if i > 0 && ctx.deadline_exceeded() {
+                degraded = true;
+                break;
+            }
+            scored.extend(match dt_dabf {
+                Some(dabf) => {
+                    // Rank-table scoring is class-granular by nature: one
+                    // work item per class (every listed class holds ≥ 1
+                    // candidate, so items align 1:1 with `batch`).
+                    let units: Vec<usize> = batch.iter().map(|&c| pool.of_class(c).len()).collect();
+                    let partition = TaskPartition::per_class(&units);
+                    ctx.note_sched_items(Stage::TopK, partition.len());
+                    partition.run(&ctx.workers(), |item| {
+                        score_dt_cr_counted(pool, train, dabf, &self.config, batch[item.class_idx])
+                    })
+                }
+                None => self.score_exact_batch(pool, train, batch, ctx, &mut cache_stats),
+            });
+        }
         let mut shapelets = Vec::new();
         let mut utility_evals = 0;
-        let mut cache_stats = CacheStats::default();
-        for (&class, (scores, evals, cache)) in classes.iter().zip(scored) {
+        for (&class, (scores, evals)) in classes.iter().zip(scored) {
             utility_evals += evals;
-            if let Some(cache) = cache {
-                cache_stats.merge(&cache.stats());
-                ctx.scratch().absorb_dist_cache(cache);
-            }
             select_class_from_scores(pool, class, &scores, &self.config, &mut shapelets);
         }
         Ok(Selection {

@@ -61,4 +61,4 @@ pub use pruning::{build_dabf, prune_naive, prune_with_dabf};
 pub use sampling::{member_seed, sample_pool, SampledCandidateSource};
 pub use schedule::{ChunkSize, TaskPartition, WorkItem};
 pub use topk::{select_top_k, TopKStrategy};
-pub use utility::{score_exact, score_exact_with_cache};
+pub use utility::score_exact;

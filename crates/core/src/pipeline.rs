@@ -7,7 +7,7 @@ use ips_obs::{MetricsSnapshot, RunRecord};
 use ips_tsdata::{Dataset, TimeSeries};
 
 use crate::config::IpsConfig;
-use crate::engine::{Engine, RunReport};
+use crate::engine::{Engine, RunReport, Stage};
 use crate::error::IpsError;
 
 /// Outcome of shapelet discovery ([`Engine::run`]).
@@ -108,13 +108,20 @@ impl IpsClassifier {
             let _span = metrics.time("fit.transform");
             if config.use_fft_kernel {
                 // Reuse the distance cache accumulated during discovery:
-                // training-series FFT plans carry over, and any (shapelet,
-                // instance) pair scored by Algorithm 4 is already memoized.
+                // the training series' plans (window statistics, FFT
+                // spectra) carry over into the transform.
                 let mut cache = ctx.take_dist_cache();
                 let features = transform.transform_with_cache(train, &mut cache);
                 // Cumulative over discovery + transform — the fit's whole
-                // cache story, not just the transform's share.
-                cache.stats().record_into(&metrics, "cache.");
+                // cache story, not just the transform's share. The cache
+                // books only computed evals; the requests exact scoring
+                // answered from an earlier distance are the top-k stage's.
+                let mut stats = cache.stats();
+                stats.cache_hits += result
+                    .report
+                    .stage(Stage::TopK)
+                    .map_or(0, |r| r.counters.cache_hits);
+                stats.record_into(&metrics, "cache.");
                 features
             } else {
                 transform.transform(train)
@@ -183,7 +190,6 @@ impl IpsClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Stage;
     use ips_tsdata::{registry, DatasetSpec, SynthGenerator};
     use std::time::Duration;
 

@@ -14,7 +14,7 @@
 //! ordering while keeping the scores numerically distinct (recorded in
 //! DESIGN.md §2).
 
-use ips_distance::{sliding_min_dist, sliding_min_dist_znorm, DistCache, MinDistKey, SliceKey};
+use ips_distance::{sliding_min_dist, sliding_min_dist_znorm, DistCache, SliceKey};
 use ips_filter::Dabf;
 use ips_lsh::embed;
 use ips_profile::Metric;
@@ -36,78 +36,41 @@ pub fn sigmoid(x: f64) -> f64 {
 /// `config.metric` so scoring and discovery agree.
 ///
 /// Returns one score per motif candidate, in `pool.motifs_of(class)`
-/// order. Lower is better.
+/// order. Lower is better. This is the monolith's scorer and the
+/// reference the engine's record → compute → replay pipeline is tested
+/// against.
 pub fn score_exact(
     pool: &CandidatePool,
     train: &Dataset,
     config: &IpsConfig,
     class: u32,
 ) -> Vec<f64> {
-    score_exact_counted(pool, train, config, class, &mut Vec::new(), None).0
-}
-
-/// [`score_exact`] drawing every sliding distance from `cache` — the
-/// engine's hot path when `use_fft_kernel` is on. Cache hits and kernel
-/// evaluations accumulate into the cache's own counters; the returned
-/// eval count is the number of distance *requests* (hits + misses).
-pub fn score_exact_with_cache(
-    pool: &CandidatePool,
-    train: &Dataset,
-    config: &IpsConfig,
-    class: u32,
-    cache: &mut DistCache,
-) -> (Vec<f64>, usize) {
-    score_exact_counted(pool, train, config, class, &mut Vec::new(), Some(cache))
-}
-
-/// [`score_exact`] with work accounting, a caller-supplied scratch buffer
-/// for the intra-class accumulator (reused across classes by the engine's
-/// sequential path), and an optional distance cache. Returns the scores
-/// and the number of sliding-distance requests issued (each request is a
-/// cache hit or a computed evaluation when a cache is supplied).
-pub(crate) fn score_exact_counted(
-    pool: &CandidatePool,
-    train: &Dataset,
-    config: &IpsConfig,
-    class: u32,
-    intra_sum: &mut Vec<f64>,
-    cache: Option<&mut DistCache>,
-) -> (Vec<f64>, usize) {
-    let mut cache = cache;
     let metric = config.metric;
-    let mut dist = |a: &[f64], b: &[f64]| compute_min_dist(a, b, metric, cache.as_deref_mut());
-    score_exact_core(pool, train, config, class, intra_sum, &mut dist)
+    let mut dist = |a: &[f64], b: &[f64]| compute_min_dist(a, b, metric);
+    score_exact_core(pool, train, class, &mut Vec::new(), &mut dist).0
 }
 
-/// One sliding-distance request, resolved through the optional cache or
-/// the shared vectorized naive loops — the single dispatch every exact
-/// scoring path (sequential, cached, scheduler-chunked) goes through.
-pub(crate) fn compute_min_dist(
-    a: &[f64],
-    b: &[f64],
-    metric: Metric,
-    cache: Option<&mut DistCache>,
-) -> f64 {
-    match cache {
-        Some(c) => c.min_dist(a, b, metric).0,
-        None => match metric {
-            Metric::MeanSquared => sliding_min_dist(a, b).0,
-            Metric::ZNormEuclidean => sliding_min_dist_znorm(a, b).0,
-        },
+/// One sliding-distance request through the shared vectorized naive
+/// loops — what [`score_exact`] and a cacheless [`KeyedRequest::resolve`]
+/// compute.
+fn compute_min_dist(a: &[f64], b: &[f64], metric: Metric) -> f64 {
+    match metric {
+        Metric::MeanSquared => sliding_min_dist(a, b).0,
+        Metric::ZNormEuclidean => sliding_min_dist_znorm(a, b).0,
     }
 }
 
 /// The single source of exact-scoring arithmetic: every distance the
 /// utilities need is drawn from `dist`, and every floating-point
 /// accumulation happens here in one fixed order. The recording pass
-/// ([`exact_request_plan`]), the sequential path, and the scheduler's
-/// replay pass ([`score_exact_replay`]) all run *this* function — they
-/// cannot enumerate requests or combine distances differently, which is
-/// what makes chunked scoring bit-identical to sequential scoring.
+/// ([`exact_request_plan`]), the reference scorer ([`score_exact`]), and
+/// the scheduler's replay pass ([`score_exact_replay`]) all run *this*
+/// function — they cannot enumerate requests or combine distances
+/// differently, which is what makes chunked scoring bit-identical to the
+/// reference.
 fn score_exact_core<'a>(
     pool: &'a CandidatePool,
     train: &'a Dataset,
-    _config: &IpsConfig,
     class: u32,
     intra_sum: &mut Vec<f64>,
     dist: &mut dyn FnMut(&'a [f64], &'a [f64]) -> f64,
@@ -172,31 +135,32 @@ fn score_exact_core<'a>(
 
 /// One distinct sliding-distance request, oriented the way the distance
 /// cache orients it (`q` slides over the at-least-as-long `s`) and
-/// carrying its memo key, so resolving it through a cache shard hashes
-/// nothing.
+/// carrying the content key the cache files `s`'s series plan under, so
+/// resolving it through a cache shard hashes nothing.
 #[derive(Clone, Copy)]
 pub(crate) struct KeyedRequest<'a> {
     pub q: &'a [f64],
     pub s: &'a [f64],
-    pub key: MinDistKey,
+    pub series_key: SliceKey,
 }
 
 impl KeyedRequest<'_> {
     /// The request's distance, through `cache` when one is supplied (by
-    /// key: no content hashing) or the plain vectorized loops — the same
-    /// values [`compute_min_dist`] returns for `(q, s)`.
+    /// series key: no content hashing) or the plain vectorized loops —
+    /// the same values [`score_exact`] computes for `(q, s)` up to the
+    /// cache's kernel choice.
     pub fn resolve(&self, metric: Metric, cache: Option<&mut DistCache>) -> f64 {
         match cache {
-            Some(c) => c.min_dist_keyed(self.key, self.q, self.s).0,
-            None => compute_min_dist(self.q, self.s, metric, None),
+            Some(c) => c.min_dist_keyed(self.series_key, self.q, self.s, metric).0,
+            None => compute_min_dist(self.q, self.s, metric),
         }
     }
 }
 
-/// One class's exact-scoring request list, deduplicated by the distance
-/// cache's own memo key: `unique` holds the first occurrence of each
-/// distinct request, `req_to_unique[r]` maps the `r`-th request to its
-/// entry in `unique`.
+/// One class's exact-scoring request list, deduplicated by content:
+/// `unique` holds the first occurrence of each distinct oriented
+/// `(query, series)` pair, `req_to_unique[r]` maps the `r`-th request to
+/// its entry in `unique`.
 pub(crate) struct ClassRequests<'a> {
     /// Each distinct request once, **grouped by oriented series** (series
     /// in order of first appearance, each group's requests in request
@@ -208,8 +172,8 @@ pub(crate) struct ClassRequests<'a> {
 }
 
 impl ClassRequests<'_> {
-    /// Requests a sequential memo would have served from its memo: every
-    /// repeat of an earlier request.
+    /// Requests answered from an earlier request's distance: every repeat
+    /// of an earlier request (the top-k stage's `cache_hits`).
     pub fn duplicate_requests(&self) -> usize {
         self.req_to_unique.len() - self.unique.len()
     }
@@ -217,11 +181,10 @@ impl ClassRequests<'_> {
 
 /// Recording pass of the scheduler's exact-scoring pipeline: runs
 /// [`score_exact_core`] with a request-recording distance closure (no
-/// distance work), then deduplicates by the memo key — the exact identity
-/// [`DistCache`] memoizes under ([`ips_distance::min_dist_key`]), so
-/// `unique.len()` equals the sequential path's kernel evals and
-/// [`ClassRequests::duplicate_requests`] its memo hits, independent of how
-/// `unique` is ordered or later chunked.
+/// distance work), then deduplicates by the content keys of the oriented
+/// `(query, series)` pair, so each distinct distance is computed once
+/// (the paper's computation reuse) and `unique.len()` is the class's
+/// eval count independent of how `unique` is ordered or later chunked.
 ///
 /// Each distinct slice (a motif, another class's candidate, an instance)
 /// is content-hashed once per class rather than twice per request: the
@@ -230,7 +193,6 @@ impl ClassRequests<'_> {
 pub(crate) fn exact_request_plan<'a>(
     pool: &'a CandidatePool,
     train: &'a Dataset,
-    config: &IpsConfig,
     class: u32,
 ) -> ClassRequests<'a> {
     let mut reqs: Vec<(&'a [f64], &'a [f64])> = Vec::new();
@@ -238,7 +200,7 @@ pub(crate) fn exact_request_plan<'a>(
         reqs.push((a, b));
         0.0
     };
-    score_exact_core(pool, train, config, class, &mut Vec::new(), &mut record);
+    score_exact_core(pool, train, class, &mut Vec::new(), &mut record);
     let mut slice_keys: HashMap<(*const f64, usize), SliceKey> = HashMap::new();
     let mut key_of = |xs: &[f64]| {
         *slice_keys
@@ -250,9 +212,9 @@ pub(crate) fn exact_request_plan<'a>(
     let mut seen = HashMap::with_capacity(reqs.len());
     for (a, b) in reqs {
         let (q, s) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let key = MinDistKey::oriented(key_of(q), key_of(s), config.metric);
-        let idx = *seen.entry(key).or_insert_with(|| {
-            unique.push(KeyedRequest { q, s, key });
+        let series_key = key_of(s);
+        let idx = *seen.entry((key_of(q), series_key)).or_insert_with(|| {
+            unique.push(KeyedRequest { q, s, series_key });
             unique.len() - 1
         });
         req_to_unique.push(idx);
@@ -264,7 +226,7 @@ pub(crate) fn exact_request_plan<'a>(
         .iter()
         .map(|r| {
             let next = group_of.len();
-            *group_of.entry(r.key.series()).or_insert(next)
+            *group_of.entry(r.series_key).or_insert(next)
         })
         .collect();
     let mut order: Vec<usize> = (0..unique.len()).collect();
@@ -286,13 +248,13 @@ pub(crate) fn exact_request_plan<'a>(
 /// [`score_exact_core`] feeding the `r`-th request the precomputed
 /// `unique_dists[plan.req_to_unique[r]]`. Because the core enumerates
 /// requests deterministically, request `r` here is exactly request `r`
-/// of the recording pass, and the score arithmetic runs in the same
-/// order over the same values as the sequential path — bit-identical at
-/// any thread count or chunk size.
+/// of the recording pass, and the score arithmetic runs in
+/// [`score_exact`]'s order — bit-identical at any thread count or chunk
+/// size, and to [`score_exact`] itself whenever the distances are (always
+/// when resolved without a cache).
 pub(crate) fn score_exact_replay(
     pool: &CandidatePool,
     train: &Dataset,
-    config: &IpsConfig,
     class: u32,
     intra_sum: &mut Vec<f64>,
     plan: &ClassRequests<'_>,
@@ -304,7 +266,7 @@ pub(crate) fn score_exact_replay(
         r += 1;
         d
     };
-    score_exact_core(pool, train, config, class, intra_sum, &mut replay)
+    score_exact_core(pool, train, class, intra_sum, &mut replay)
 }
 
 /// DT + CR scores: distances are replaced by bucket-rank differences in
@@ -417,35 +379,6 @@ pub(crate) fn score_dt_cr_counted(
     let other_ranks: usize = other_tables.iter().map(|(_, t)| t.len()).sum();
     let evals = n + other_ranks + instance_ranks.len() + n * (2 + 2 * other_tables.len());
     (scores, evals)
-}
-
-/// How [`score_class`] scores one class: exact utilities over sliding
-/// distances, or the DT + CR rank-space path over a built DABF. Carrying
-/// the DABF inside the variant makes "DT+CR without a DABF" unrepresentable.
-#[derive(Clone, Copy)]
-pub(crate) enum ScoreMode<'a> {
-    Exact,
-    DtCr(&'a Dabf),
-}
-
-/// Dispatches per-class scoring by mode — the class-parallel unit of
-/// Algorithm 4's scoring phase. `intra_buf` is a reusable accumulator and
-/// `cache` the optional distance cache for the exact path (both ignored by
-/// DT+CR, which works in the DABF's rank space and computes no sliding
-/// distances).
-pub(crate) fn score_class(
-    pool: &CandidatePool,
-    train: &Dataset,
-    config: &IpsConfig,
-    class: u32,
-    mode: ScoreMode<'_>,
-    intra_buf: &mut Vec<f64>,
-    cache: Option<&mut DistCache>,
-) -> (Vec<f64>, usize) {
-    match mode {
-        ScoreMode::Exact => score_exact_counted(pool, train, config, class, intra_buf, cache),
-        ScoreMode::DtCr(dabf) => score_dt_cr_counted(pool, train, dabf, config, class),
-    }
 }
 
 /// Sorted-values + prefix-sums structure answering `Σ_j |x − v_j|` in
@@ -570,27 +503,33 @@ mod tests {
 
     #[test]
     fn exact_request_plan_is_series_grouped_and_keyed_like_the_cache() {
-        use ips_distance::min_dist_key;
         use std::collections::HashSet;
-        let (pool, train, cfg) = setup();
+        let (pool, train, _) = setup();
         for c in pool.classes() {
-            let plan = exact_request_plan(&pool, &train, &cfg, c);
+            let plan = exact_request_plan(&pool, &train, c);
             // the same request enumeration the plan recorded
             let mut reqs: Vec<(&[f64], &[f64])> = Vec::new();
             let mut record = |a, b| {
                 reqs.push((a, b));
                 0.0
             };
-            score_exact_core(&pool, &train, &cfg, c, &mut Vec::new(), &mut record);
+            score_exact_core(&pool, &train, c, &mut Vec::new(), &mut record);
             assert_eq!(plan.req_to_unique.len(), reqs.len());
             for (&(a, b), &u) in reqs.iter().zip(&plan.req_to_unique) {
                 let entry = &plan.unique[u];
-                assert_eq!(entry.key, min_dist_key(a, b, cfg.metric));
-                assert_eq!(entry.key, min_dist_key(entry.q, entry.s, cfg.metric));
+                // oriented like the cache: the shorter slice slides
+                let (q, s) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+                assert_eq!(SliceKey::of(entry.q), SliceKey::of(q));
+                assert_eq!(SliceKey::of(entry.s), SliceKey::of(s));
+                assert_eq!(entry.series_key, SliceKey::of(s));
                 assert!(entry.q.len() <= entry.s.len());
             }
-            // every distinct key once, every entry reached
-            let keys: HashSet<_> = plan.unique.iter().map(|r| r.key).collect();
+            // every distinct key pair once, every entry reached
+            let keys: HashSet<_> = plan
+                .unique
+                .iter()
+                .map(|r| (SliceKey::of(r.q), r.series_key))
+                .collect();
             assert_eq!(keys.len(), plan.unique.len());
             let reached: HashSet<_> = plan.req_to_unique.iter().collect();
             assert_eq!(reached.len(), plan.unique.len());
@@ -598,7 +537,7 @@ mod tests {
             // reappears
             let mut closed = HashSet::new();
             for pair in plan.unique.windows(2) {
-                let (prev, next) = (pair[0].key.series(), pair[1].key.series());
+                let (prev, next) = (pair[0].series_key, pair[1].series_key);
                 if prev != next {
                     closed.insert(prev);
                     assert!(!closed.contains(&next), "class {c}: series split");
@@ -607,15 +546,51 @@ mod tests {
             // series groups appear in first-request order
             let mut first_seen = Vec::new();
             for &u in &plan.req_to_unique {
-                let series = plan.unique[u].key.series();
+                let series = plan.unique[u].series_key;
                 if !first_seen.contains(&series) {
                     first_seen.push(series);
                 }
             }
-            let mut grouped: Vec<_> = plan.unique.iter().map(|r| r.key.series()).collect();
+            let mut grouped: Vec<_> = plan.unique.iter().map(|r| r.series_key).collect();
             grouped.dedup();
             assert_eq!(grouped, first_seen, "class {c}: group order");
         }
+    }
+
+    #[test]
+    fn forced_kernel_scoring_matches_naive_scores() {
+        // The engine's Auto crossover keeps the naive loop on short synth
+        // series; this pins the FFT path itself: the engine's plan →
+        // resolve → replay pipeline on a ForceKernel cache against the
+        // naive reference scorer.
+        use ips_distance::KernelPolicy;
+        let (pool, train, cfg) = setup();
+        let mut cache = DistCache::with_policy(KernelPolicy::ForceKernel);
+        let mut unique_total = 0;
+        for c in pool.classes() {
+            let plain = score_exact(&pool, &train, &cfg, c);
+            let plan = exact_request_plan(&pool, &train, c);
+            let dists: Vec<f64> = plan
+                .unique
+                .iter()
+                .map(|r| r.resolve(cfg.metric, Some(&mut cache)))
+                .collect();
+            unique_total += dists.len();
+            let (forced, requests) =
+                score_exact_replay(&pool, &train, c, &mut Vec::new(), &plan, &dists);
+            assert_eq!(plain.len(), forced.len());
+            assert_eq!(requests, plan.req_to_unique.len());
+            for (i, (a, b)) in plain.iter().zip(&forced).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
+                    "class {c} candidate {i}: naive {a} vs forced-kernel {b}"
+                );
+            }
+        }
+        assert!(unique_total > 0);
+        let stats = cache.stats();
+        assert_eq!(stats.kernel_evals, unique_total);
+        assert_eq!(stats.cache_hits, 0);
     }
 
     #[test]

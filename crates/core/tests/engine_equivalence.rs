@@ -210,8 +210,9 @@ fn fft_kernel_selects_identical_shapelets_across_grid() {
 #[test]
 fn exact_scoring_counters_partition_the_distance_requests() {
     // Exact strategy + fft kernel: every sliding-distance request is
-    // either a kernel/naive evaluation (miss) or a memo hit, and the
-    // analytic utility_evals counts exactly the requests.
+    // either a kernel/naive evaluation or a duplicate the request plan
+    // answered from an earlier one, and the analytic utility_evals counts
+    // exactly the requests.
     let train = synth_train();
     let mut cfg = base_cfg();
     cfg.use_dt_cr = false; // force the Exact strategy
@@ -264,41 +265,16 @@ fn cache_counters_are_thread_count_invariant() {
     );
 }
 
-#[test]
-fn forced_kernel_scoring_matches_naive_scores() {
-    // The grid test above exercises the Auto crossover, which keeps the
-    // naive loop on short synth series; this pins the FFT path itself
-    // against naive scoring through the engine's scoring entry point.
-    use ips_core::{score_exact, score_exact_with_cache};
-    use ips_distance::{DistCache, KernelPolicy};
-    let train = synth_train();
-    let cfg = base_cfg();
-    let pool = generate_candidates(&train, &cfg);
-    let mut cache = DistCache::with_policy(KernelPolicy::ForceKernel);
-    for &class in &[0u32, 1, 2] {
-        let plain = score_exact(&pool, &train, &cfg, class);
-        let (forced, requests) = score_exact_with_cache(&pool, &train, &cfg, class, &mut cache);
-        assert_eq!(plain.len(), forced.len());
-        for (i, (a, b)) in plain.iter().zip(&forced).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                "class {class} candidate {i}: naive {a} vs forced-kernel {b}"
-            );
-        }
-        assert!(requests > 0);
-    }
-    let stats = cache.stats();
-    assert!(stats.kernel_evals + stats.cache_hits > 0);
-}
-
-/// The tentpole determinism contract: the work-item scheduler must make
+/// The engine's determinism contract: the work-item scheduler must make
 /// results *and counters* a pure function of the workload and the
 /// `chunk_size` knob — bit-identical at every thread count for any fixed
 /// chunking, with and without the FFT kernel. Two workloads: the short
 /// synthetic set, and a multi-length long-instance one (three candidate
 /// lengths, so each instance is probed at several window lengths and the
-/// series-grouped shards build per-length statistics), whose scores must
-/// also equal the sequential (deadline) path's bit for bit.
+/// series-grouped shards build per-length statistics). A budgeted run
+/// (one class per batch, the deadline checked between batches) must
+/// match the monolithic reference bit for bit and the unbudgeted run's
+/// counters.
 #[test]
 fn engine_is_bit_identical_across_threads_and_chunk_sizes() {
     let (long_train, _) = registry::load_scaled("ItalyPowerDemand", 2).unwrap();
@@ -308,52 +284,51 @@ fn engine_is_bit_identical_across_threads_and_chunk_sizes() {
         ("synth", synth_train(), base_cfg()),
         ("ipd-x2", long_train, long_cfg),
     ];
+    let bits = |shapelets: &[ips_classify::Shapelet]| -> Vec<u64> {
+        shapelets.iter().map(|s| s.score.to_bits()).collect()
+    };
     for (name, train, cfg) in &workloads {
         for fft in [true, false] {
             let mut cfg = cfg.clone();
             cfg.use_fft_kernel = fft;
             cfg.use_dt_cr = false; // Exact scoring exercises the distance shards
             let reference = Engine::from_config(&cfg).run(train).unwrap();
-            // the deadline path scores class by class through one cache,
-            // in request order — no recording, grouping, chunking or replay
-            let sequential = Engine::from_config(&cfg.clone().with_budget(DiscoveryBudget {
+            // The monolith scores with `score_exact`, independent of the
+            // engine's record → compute → replay pipeline.
+            let (monolith, _, _) = reference_discover(train, &cfg);
+            assert_eq!(reference.shapelets, monolith, "{name} fft={fft}: engine");
+            assert_eq!(
+                bits(&reference.shapelets),
+                bits(&monolith),
+                "{name} fft={fft}: engine scores"
+            );
+            let budgeted = Engine::from_config(&cfg.clone().with_budget(DiscoveryBudget {
                 max_wall_clock: Some(Duration::from_secs(3600)),
                 max_candidates: None,
             }))
             .run(train)
             .unwrap();
-            assert!(
-                !sequential.degraded,
-                "{name} fft={fft}: sequential degraded"
+            assert!(!budgeted.degraded, "{name} fft={fft}: budgeted degraded");
+            assert_eq!(
+                budgeted.shapelets, monolith,
+                "{name} fft={fft}: budgeted selection"
             );
             assert_eq!(
-                provenance(&sequential.shapelets),
-                provenance(&reference.shapelets),
-                "{name} fft={fft}: sequential selection"
+                bits(&budgeted.shapelets),
+                bits(&monolith),
+                "{name} fft={fft}: budgeted scores"
             );
-            let bits = |r: &ips_core::DiscoveryResult| -> Vec<u64> {
-                r.shapelets.iter().map(|s| s.score.to_bits()).collect()
-            };
-            assert_eq!(
-                bits(&sequential),
-                bits(&reference),
-                "{name} fft={fft}: sequential scores"
-            );
-            assert_eq!(
-                sequential
-                    .report
-                    .stage(Stage::TopK)
-                    .unwrap()
-                    .counters
-                    .kernel_evals,
-                reference
-                    .report
-                    .stage(Stage::TopK)
-                    .unwrap()
-                    .counters
-                    .kernel_evals,
-                "{name} fft={fft}: sequential evals"
-            );
+            // Per-class batches partition the top-k work per class, so
+            // only its `sched_items` may differ from the unbudgeted run.
+            for stage in Stage::ALL {
+                let mut got = budgeted.report.stage(stage).unwrap().counters;
+                let mut want = reference.report.stage(stage).unwrap().counters;
+                if stage == Stage::TopK {
+                    got.sched_items = 0;
+                    want.sched_items = 0;
+                }
+                assert_eq!(got, want, "{name} fft={fft}: budgeted {stage:?} counters");
+            }
             for chunk in [ChunkSize::Auto, ChunkSize::Fixed(1), ChunkSize::Fixed(7)] {
                 // Counters may legitimately vary with the chunk knob
                 // (sched_items is defined by the partition), never with the
@@ -370,7 +345,11 @@ fn engine_is_bit_identical_across_threads_and_chunk_sizes() {
                     .unwrap();
                     let tag = format!("{name} fft={fft} chunk={chunk:?} threads={threads}");
                     assert_eq!(result.shapelets, reference.shapelets, "shapelets: {tag}");
-                    assert_eq!(bits(&result), bits(&reference), "scores: {tag}");
+                    assert_eq!(
+                        bits(&result.shapelets),
+                        bits(&reference.shapelets),
+                        "scores: {tag}"
+                    );
                     assert_eq!(
                         result.report.candidates_generated(),
                         reference.report.candidates_generated(),
@@ -400,9 +379,6 @@ fn engine_is_bit_identical_across_threads_and_chunk_sizes() {
     let cfg = IpsConfig::default();
     let unshared = pool_bits(&generate_candidates(&cbf, &cfg));
     let reference = Engine::from_config(&cfg).run(&cbf).unwrap();
-    let bits = |r: &ips_core::DiscoveryResult| -> Vec<u64> {
-        r.shapelets.iter().map(|s| s.score.to_bits()).collect()
-    };
     for chunk in [ChunkSize::Auto, ChunkSize::Fixed(1), ChunkSize::Fixed(7)] {
         for threads in [1, 2, 4, 0] {
             let cfg = cfg.clone().with_threads(threads).with_chunk_size(chunk);
@@ -414,7 +390,11 @@ fn engine_is_bit_identical_across_threads_and_chunk_sizes() {
             assert!(pool_bits(&pool) == unshared, "candidate pool: {tag}");
             let result = Engine::from_config(&cfg).run(&cbf).unwrap();
             assert_eq!(result.shapelets, reference.shapelets, "shapelets: {tag}");
-            assert_eq!(bits(&result), bits(&reference), "scores: {tag}");
+            assert_eq!(
+                bits(&result.shapelets),
+                bits(&reference.shapelets),
+                "scores: {tag}"
+            );
         }
     }
 }

@@ -31,7 +31,8 @@ pub enum KernelPolicy {
     /// Always the FFT kernel (used by the equivalence proptests, which pin
     /// the kernel against the naive reference even at tiny sizes).
     ForceKernel,
-    /// Always the naive loop (turns the cache into a pure memo layer).
+    /// Always the naive loop (the cache then only shares window
+    /// statistics through its series plans).
     ForceNaive,
 }
 

@@ -1,8 +1,7 @@
-//! A memoizing distance layer over the FFT/MASS kernel: the only way
-//! into it.
+//! The distance layer over the FFT/MASS kernel: the only way into it.
 //!
-//! [`DistCache`] answers [`DistCache::min_dist`] queries while remembering
-//! two kinds of work:
+//! [`DistCache`] answers [`DistCache::min_dist`] queries while keeping the
+//! per-series work that many queries share:
 //!
 //! * **Series plans** — one series plan per distinct series, so its
 //!   rolling window statistics (read by the naive z-norm loop and the FFT
@@ -10,16 +9,17 @@
 //!   once per series (statistics: once per query length) no matter how
 //!   many candidates probe it, plus one FFT twiddle table per
 //!   transform size, shared across series of similar length.
-//! * **Results** — a `(query, series, metric) → (dist, offset)` memo, so
-//!   a candidate scored against the same instance by a later stage (or by
-//!   the shapelet transform after discovery) is a hash lookup.
 //!
-//! Keys are **content hashes** of the raw `f64` bit patterns (two
-//! independent 64-bit FNV-style hashes plus the length), so they are
-//! deterministic across runs and independent of where a slice lives in
-//! memory — a candidate window and an equal-valued subsequence of another
-//! instance share cache entries. A collision needs both 64-bit hashes to
-//! agree (~2⁻¹²⁸ per pair); there is no bucket-chain verification.
+//! Results are not remembered: every request is computed. Callers that
+//! issue the same request twice deduplicate it themselves (the engine's
+//! exact-scoring plan does, before any distance is computed).
+//!
+//! Plans are keyed by a **content hash** of the series' raw `f64` bit
+//! patterns (two independent 64-bit FNV-style hashes plus the length), so
+//! keys are deterministic across runs and independent of where a slice
+//! lives in memory — an instance and an equal-valued copy of it share one
+//! plan. A collision needs both 64-bit hashes to agree (~2⁻¹²⁸ per pair);
+//! there is no bucket-chain verification.
 //!
 //! The cache is deliberately `Send`-friendly plain data: per-class caches
 //! built on worker threads are merged into a session cache with
@@ -34,20 +34,22 @@ use crate::metric::Metric;
 
 /// Work counters exposed through the engine's stage telemetry.
 ///
-/// Every [`DistCache::min_dist`] call is exactly one of the two: a **hit**
-/// (memo lookup) or an **eval** (computed, via either the FFT kernel or the
-/// naive fallback — the counter tracks cache misses, not which code path
-/// served them). So `kernel_evals + cache_hits` equals the number of
-/// distance requests issued by the caller. `kernel_fallbacks` counts the
-/// *subset* of evals where the FFT path was selected but could not serve
-/// the request (non-finite input, or an injected failure from the fault
-/// harness) and the cache degraded to the naive loop — it never disturbs
-/// the partition invariant.
+/// Every [`DistCache::min_dist`] call is one **eval** (computed, via either
+/// the FFT kernel or the naive fallback — the counter tracks requests
+/// computed, not which code path served them). A cache never books
+/// `cache_hits` itself: that field counts requests a caller deduplicated
+/// up front and answered from an earlier eval (the engine's exact-scoring
+/// plan adds its duplicates there), so `kernel_evals + cache_hits` equals
+/// the number of distance requests the caller's algorithm issued.
+/// `kernel_fallbacks` counts the *subset* of evals where the FFT path was
+/// selected but could not serve the request (non-finite input, or an
+/// injected failure from the fault harness) and the cache degraded to the
+/// naive loop — it never disturbs the partition invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Distances actually computed (cache misses).
+    /// Distances actually computed.
     pub kernel_evals: usize,
-    /// Distances served from the memo.
+    /// Duplicate requests the caller answered from an earlier eval.
     pub cache_hits: usize,
     /// Evals the FFT kernel should have served but the naive loop did
     /// (graceful degradation; always ≤ `kernel_evals`).
@@ -62,12 +64,12 @@ impl CacheStats {
         self.kernel_fallbacks += other.kernel_fallbacks;
     }
 
-    /// Total distance requests answered (hits plus computed misses).
+    /// Total distance requests answered (duplicates plus computed evals).
     pub fn requests(&self) -> usize {
         self.kernel_evals + self.cache_hits
     }
 
-    /// Fraction of requests served from the memo (`0.0` when idle).
+    /// Fraction of requests answered without computing (`0.0` when idle).
     pub fn hit_rate(&self) -> f64 {
         if self.requests() == 0 {
             0.0
@@ -112,42 +114,6 @@ impl SliceKey {
     }
 }
 
-/// Content identity of an oriented `(query, series, metric)` request —
-/// exactly the key [`DistCache`] memoizes results under. Exposed (via
-/// [`min_dist_key`] and [`MinDistKey::oriented`]) so callers that batch
-/// requests — the engine's work-item scheduler — can deduplicate a
-/// request list against the cache's own notion of identity: requests with
-/// equal keys are the ones a sequential memo would serve as one eval plus
-/// hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MinDistKey(SliceKey, SliceKey, Metric);
-
-impl MinDistKey {
-    /// The key of an already-oriented request (`q.len() ≤ s.len()`) from
-    /// the keys of its two slices — for callers that hash each distinct
-    /// slice once and reuse it across many requests. Equal to
-    /// [`min_dist_key`]`(q, s, metric)`.
-    pub fn oriented(q: SliceKey, s: SliceKey, metric: Metric) -> Self {
-        debug_assert!(q.0 <= s.0, "query longer than series");
-        MinDistKey(q, s, metric)
-    }
-
-    /// Identity of the request's series side — the longer slice, whose
-    /// series plan the cache keys by this value.
-    pub fn series(&self) -> SliceKey {
-        self.1
-    }
-}
-
-/// The memo key a [`DistCache::min_dist`] call with these arguments files
-/// under: arguments are oriented (shorter slides over longer) and content
-/// hashed, so equal-valued slices in different allocations — and the two
-/// argument orders — map to the same key.
-pub fn min_dist_key(query: &[f64], series: &[f64], metric: Metric) -> MinDistKey {
-    let (q, s) = orient(query, series);
-    MinDistKey(SliceKey::of(q), SliceKey::of(s), metric)
-}
-
 /// `(shorter, longer)` — the shorter slice slides over the longer; on
 /// equal lengths the argument order is kept.
 #[inline]
@@ -159,18 +125,17 @@ fn orient<'a>(query: &'a [f64], series: &'a [f64]) -> (&'a [f64], &'a [f64]) {
     }
 }
 
-/// Memoizing distance layer. See the module docs.
+/// The distance layer. See the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct DistCache {
     policy: KernelPolicy,
     ffts: HashMap<usize, Fft>,
     plans: HashMap<SliceKey, SeriesPlan>,
-    memo: HashMap<MinDistKey, (f64, usize)>,
     stats: CacheStats,
-    /// When `Some`, every kernel-path attempt is treated as failed and
+    /// When set, every kernel-path attempt is treated as failed and
     /// degrades to the naive loop (fault-injection hook; see
     /// [`DistCache::inject_kernel_failure`]).
-    forced_failure: Option<String>,
+    forced_failure: bool,
 }
 
 impl DistCache {
@@ -198,53 +163,35 @@ impl DistCache {
     /// loop) and each degraded eval is counted in
     /// [`CacheStats::kernel_fallbacks`]. Used by the fault-injection
     /// harness.
-    pub fn inject_kernel_failure(&mut self, reason: impl Into<String>) {
-        self.forced_failure = Some(reason.into());
+    pub fn inject_kernel_failure(&mut self) {
+        self.forced_failure = true;
     }
 
     /// Minimum sliding distance of `query` against `series` under `metric`,
     /// with the same conventions as `sliding_min_dist{,_znorm}`: arguments
-    /// may come in either order (the shorter slides over the longer; the
-    /// memo is keyed on the oriented pair so both orders hit), empty input
-    /// yields `(f64::INFINITY, 0)`, and the offset is the first argmin.
+    /// may come in either order (the shorter slides over the longer), empty
+    /// input yields `(f64::INFINITY, 0)`, and the offset is the first
+    /// argmin.
     pub fn min_dist(&mut self, query: &[f64], series: &[f64], metric: Metric) -> (f64, usize) {
         let (q, s) = orient(query, series);
-        self.min_dist_keyed(min_dist_key(q, s, metric), q, s)
+        self.min_dist_keyed(SliceKey::of(s), q, s, metric)
     }
 
     /// [`DistCache::min_dist`] for an already-oriented request
-    /// (`q.len() ≤ s.len()`) whose memo key the caller already holds —
-    /// `key` must equal [`min_dist_key`]`(q, s, metric)`, typically built
-    /// with [`MinDistKey::oriented`] from slice keys hashed once. Skips the
-    /// two content hashes per request; counters and results are exactly
-    /// those of `min_dist(q, s, metric)`.
-    pub fn min_dist_keyed(&mut self, key: MinDistKey, q: &[f64], s: &[f64]) -> (f64, usize) {
-        debug_assert_eq!(
-            key,
-            min_dist_key(q, s, key.2),
-            "key does not match the request"
-        );
+    /// (`q.len() ≤ s.len()`) whose series key the caller already holds —
+    /// `series_key` must equal [`SliceKey::of`]`(s)`, typically hashed once
+    /// for many requests. Skips the content hash per request; counters and
+    /// results are exactly those of `min_dist(q, s, metric)`.
+    pub fn min_dist_keyed(
+        &mut self,
+        series_key: SliceKey,
+        q: &[f64],
+        s: &[f64],
+        metric: Metric,
+    ) -> (f64, usize) {
+        debug_assert_eq!(series_key, SliceKey::of(s), "key does not match the series");
         debug_assert!(q.len() <= s.len(), "request is not oriented");
-        if let Some(&hit) = self.memo.get(&key) {
-            self.stats.cache_hits += 1;
-            return hit;
-        }
         self.stats.kernel_evals += 1;
-        let result = self.compute(q, s, key.2, key.1);
-        self.memo.insert(key, result);
-        result
-    }
-
-    /// Books `n` additional memo hits without issuing any request — for
-    /// callers that deduplicate a request list by [`min_dist_key`] up
-    /// front and resolve the duplicates themselves: booking the skipped
-    /// lookups here keeps the cumulative counters identical to a
-    /// sequential memo serving the full request list.
-    pub fn note_hits(&mut self, n: usize) {
-        self.stats.cache_hits += n;
-    }
-
-    fn compute(&mut self, q: &[f64], s: &[f64], metric: Metric, ks: SliceKey) -> (f64, usize) {
         if q.is_empty() || s.is_empty() {
             return (f64::INFINITY, 0);
         }
@@ -254,21 +201,21 @@ impl DistCache {
             KernelPolicy::Auto => kernel_profitable(metric, q.len(), s.len()),
         };
         if !use_kernel {
-            return self.naive(q, s, metric, ks);
+            return self.naive(q, s, metric, series_key);
         }
         // Graceful degradation: the FFT path cannot serve poisoned input
         // (one NaN poisons the whole spectrum, losing the naive loop's
         // window-local skipping), and the fault harness can force failures.
         // Both degrade to the naive loop and count a fallback rather than
         // surfacing an error from the scoring hot path.
-        if self.forced_failure.is_some()
-            || first_non_finite(q).is_some()
-            || first_non_finite(s).is_some()
-        {
+        if self.forced_failure || first_non_finite(q).is_some() || first_non_finite(s).is_some() {
             self.stats.kernel_fallbacks += 1;
-            return self.naive(q, s, metric, ks);
+            return self.naive(q, s, metric, series_key);
         }
-        let plan = self.plans.entry(ks).or_insert_with(|| SeriesPlan::new(s));
+        let plan = self
+            .plans
+            .entry(series_key)
+            .or_insert_with(|| SeriesPlan::new(s));
         let fft = self
             .ffts
             .entry(plan.fft_size())
@@ -291,7 +238,7 @@ impl DistCache {
         }
     }
 
-    /// Merges `other` into `self`: memo entries, FFT plans, and counters.
+    /// Merges `other` into `self`: series plans, FFT tables, and counters.
     /// Existing entries win on (astronomically unlikely) key conflicts.
     /// Called in deterministic class order when per-class worker caches are
     /// folded back into the session cache.
@@ -301,9 +248,6 @@ impl DistCache {
         }
         for (k, v) in other.plans {
             self.plans.entry(k).or_insert(v);
-        }
-        for (k, v) in other.memo {
-            self.memo.entry(k).or_insert(v);
         }
         self.stats.merge(&other.stats);
     }
@@ -321,19 +265,22 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_and_evals_partition_requests() {
+    fn every_request_is_one_eval() {
         let s = series(150);
         let q1: Vec<f64> = s[10..40].to_vec();
         let q2: Vec<f64> = s[50..70].to_vec();
         let mut cache = DistCache::new();
-        cache.min_dist(&q1, &s, Metric::ZNormEuclidean);
+        let first = cache.min_dist(&q1, &s, Metric::ZNormEuclidean);
         cache.min_dist(&q2, &s, Metric::ZNormEuclidean);
-        cache.min_dist(&q1, &s, Metric::ZNormEuclidean); // hit
-        cache.min_dist(&q1, &s, Metric::MeanSquared); // different metric: miss
+        // a repeat is computed again, to the same bits
+        let again = cache.min_dist(&q1, &s, Metric::ZNormEuclidean);
+        assert_eq!(first.0.to_bits(), again.0.to_bits());
+        assert_eq!(first.1, again.1);
+        cache.min_dist(&q1, &s, Metric::MeanSquared);
         let st = cache.stats();
-        assert_eq!(st.kernel_evals, 3);
-        assert_eq!(st.cache_hits, 1);
-        assert_eq!(st.kernel_evals + st.cache_hits, 4);
+        assert_eq!(st.kernel_evals, 4);
+        assert_eq!(st.cache_hits, 0);
+        assert_eq!(st.requests(), 4);
     }
 
     #[test]
@@ -347,37 +294,44 @@ mod tests {
         let ms_ref = sliding_min_dist(&q, &s);
         assert!((zn.0 - zn_ref.0).abs() < 1e-9);
         assert!((ms.0 - ms_ref.0).abs() < 1e-9);
-        // reversed argument order is served from the memo
-        let before = cache.stats().cache_hits;
+        // the reversed argument order slides the same query over the same
+        // series: same answer, one more eval
         assert_eq!(cache.min_dist(&s, &q, Metric::MeanSquared), ms);
-        assert_eq!(cache.stats().cache_hits, before + 1);
+        assert_eq!(cache.min_dist(&s, &q, Metric::ZNormEuclidean), zn);
+        assert_eq!(cache.stats().kernel_evals, 4);
+        assert_eq!(cache.stats().cache_hits, 0);
     }
 
     #[test]
-    fn equal_content_different_slices_share_entries() {
+    fn equal_content_series_share_one_plan() {
         let s = series(100);
-        let a: Vec<f64> = s[20..36].to_vec();
-        let b: Vec<f64> = s[20..36].to_vec(); // distinct allocation, same values
+        let copy = s.clone(); // distinct allocation, same values
+        let q: Vec<f64> = s[20..36].to_vec();
         let mut cache = DistCache::new();
-        cache.min_dist(&a, &s, Metric::MeanSquared);
-        cache.min_dist(&b, &s, Metric::MeanSquared);
-        assert_eq!(cache.stats().cache_hits, 1);
+        let a = cache.min_dist(&q, &s, Metric::ZNormEuclidean);
+        let b = cache.min_dist(&q, &copy, Metric::ZNormEuclidean);
+        assert_eq!(a, b);
+        assert_eq!(cache.plans.len(), 1);
+        assert_eq!(cache.stats().kernel_evals, 2);
     }
 
     #[test]
-    fn absorb_merges_counters_and_memo() {
+    fn absorb_merges_counters_and_plans() {
         let s = series(90);
+        let t = series(70);
         let mut a = DistCache::new();
         let mut b = DistCache::new();
-        a.min_dist(&s[..10], &s, Metric::MeanSquared);
-        b.min_dist(&s[..10], &s, Metric::MeanSquared);
-        b.min_dist(&s[12..30], &s, Metric::MeanSquared);
+        a.min_dist(&s[..10], &s, Metric::ZNormEuclidean);
+        b.min_dist(&s[..10], &s, Metric::ZNormEuclidean);
+        let before = b.min_dist(&s[12..30], &t, Metric::ZNormEuclidean);
         a.absorb(b);
         assert_eq!(a.stats().kernel_evals, 3);
-        // both entries now hit
-        a.min_dist(&s[..10], &s, Metric::MeanSquared);
-        a.min_dist(&s[12..30], &s, Metric::MeanSquared);
-        assert_eq!(a.stats().cache_hits, 2);
+        assert_eq!(a.stats().cache_hits, 0);
+        // one plan per distinct series, whichever cache built it
+        assert_eq!(a.plans.len(), 2);
+        // an absorbed plan serves later requests with the same answer
+        assert_eq!(a.min_dist(&s[12..30], &t, Metric::ZNormEuclidean), before);
+        assert_eq!(a.plans.len(), 2);
     }
 
     #[test]
@@ -419,7 +373,7 @@ mod tests {
             DistCache::with_policy(KernelPolicy::ForceNaive).min_dist(&q, &s, Metric::MeanSquared);
 
         let mut cache = DistCache::with_policy(KernelPolicy::ForceKernel);
-        cache.inject_kernel_failure("chaos");
+        cache.inject_kernel_failure();
         let got = cache.min_dist(&q, &s, Metric::MeanSquared);
         assert_eq!(got, reference); // same answer, served by the naive loop
         let st = cache.stats();

@@ -8,9 +8,10 @@
 //! Distance profiles are the primitive under both the matrix profile
 //! (`ips-profile`) and shapelet transformation (`ips-classify`).
 //!
-//! The memoizing [`DistCache`] is the one way into the O(n log n) FFT/MASS
-//! min-distance kernel: it picks kernel or naive loop per request under a
-//! [`KernelPolicy`], and every fit and served request goes through it.
+//! [`DistCache`] is the one way into the O(n log n) FFT/MASS min-distance
+//! kernel: it picks kernel or naive loop per request under a
+//! [`KernelPolicy`], keeps per-series plans that many requests share, and
+//! every fit and served request goes through it.
 //!
 //! ```
 //! use ips_distance::{sliding_min_dist, euclidean};
@@ -32,7 +33,7 @@ pub mod metric;
 pub mod rolling;
 
 pub use batch::KernelPolicy;
-pub use cache::{min_dist_key, CacheStats, DistCache, MinDistKey, SliceKey};
+pub use cache::{CacheStats, DistCache, SliceKey};
 pub use dtw::{dtw, dtw_banded, lb_keogh};
 pub use euclid::{
     argmax, argmin, dist_profile, dist_profile_znorm, euclidean, is_constant_sigma, mean_sq_dist,

@@ -9,10 +9,11 @@
 //! stays a pure function of the workload and the chunk knob.
 //!
 //! **Determinism contract** (DESIGN.md §14): every scoring path routes
-//! through [`ServableModel::predict`] on a [`DistCache`]. The cache is
-//! purely memoizing — a hit returns exactly the value a fresh computation
-//! would produce (content-keyed, deterministic kernel choice) — so which
-//! requests happen to share a per-item cache cannot change any label.
+//! through [`ServableModel::predict`] on a [`DistCache`]. The cache keeps
+//! only per-series plans, keyed by content, and picks the kernel
+//! deterministically from the request's shape, so a distance computed
+//! through a shared plan equals a fresh computation's — which requests
+//! happen to share a per-item cache cannot change any label.
 //! Batch responses are therefore bit-identical to
 //! [`IpsServer::classify_now`] on the same request, at every thread
 //! count and every chunk size; responses always come back in submission
@@ -215,7 +216,7 @@ impl IpsServer {
         let partition = TaskPartition::new(&counts, self.config.chunk_size);
         let item_results = partition
             .try_run(&self.ctx.workers(), |item| {
-                // One cache per work item: FFT plans and memo entries are
+                // One cache per work item: series plans and FFT tables are
                 // shared by the item's requests, never mutated across
                 // threads.
                 let mut cache = DistCache::new();

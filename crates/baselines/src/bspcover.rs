@@ -284,6 +284,7 @@ impl Selector for CoverageSelector {
             shapelets,
             utility_evals,
             cache_stats,
+            own_class_dists: Vec::new(),
             degraded: false,
         })
     }

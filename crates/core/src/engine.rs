@@ -703,6 +703,10 @@ pub struct Selection {
     /// Zero for selectors that issue no sliding distances (DT+CR,
     /// rank-based).
     pub cache_stats: CacheStats,
+    /// Per shapelet, its distances to the instances of its class (in
+    /// [`Dataset::class_indices`] order) as scoring computed them; rows are
+    /// empty, or the list short, where the selector computed none.
+    pub own_class_dists: Vec<Vec<f64>>,
     /// True when a [`DiscoveryBudget`](crate::config::DiscoveryBudget)
     /// deadline cut scoring short — the shapelets are the best of the
     /// classes that were scored, not all of them.
@@ -974,6 +978,7 @@ impl Engine {
 
         Ok(DiscoveryResult {
             shapelets: selection.shapelets,
+            own_class_dists: selection.own_class_dists,
             degraded,
             report: std::mem::take(&mut ctx.report),
         })
@@ -1216,7 +1221,8 @@ impl UtilitySelector {
     /// Exact scoring of one batch of classes: record → compute
     /// (scheduled) → replay. Each class's shards fold into the run cache
     /// in class order; their counters and the plan's duplicates (when the
-    /// cache is on) accumulate into `stats`.
+    /// cache is on) accumulate into `stats`. Returns `score_exact_replay`'s
+    /// output per class.
     fn score_exact_batch(
         &self,
         pool: &CandidatePool,
@@ -1224,7 +1230,7 @@ impl UtilitySelector {
         classes: &[u32],
         ctx: &mut ExecContext,
         stats: &mut CacheStats,
-    ) -> Vec<(Vec<f64>, usize)> {
+    ) -> Vec<(Vec<f64>, usize, Vec<f64>)> {
         // Each work item draws its sliding distances from a *fresh* cache
         // shard (not the shared run cache), so counters are identical at
         // every thread count.
@@ -1325,22 +1331,30 @@ impl Selector for UtilitySelector {
                     let partition = TaskPartition::per_class(&units);
                     ctx.note_sched_items(Stage::TopK, partition.len());
                     partition.run(&ctx.workers(), |item| {
-                        score_dt_cr_counted(pool, train, dabf, &self.config, batch[item.class_idx])
+                        let c = batch[item.class_idx];
+                        let (s, e) = score_dt_cr_counted(pool, train, dabf, &self.config, c);
+                        (s, e, Vec::new())
                     })
                 }
                 None => self.score_exact_batch(pool, train, batch, ctx, &mut cache_stats),
             });
         }
         let mut shapelets = Vec::new();
+        let mut own_class_dists = Vec::new();
         let mut utility_evals = 0;
-        for (&class, (scores, evals)) in classes.iter().zip(scored) {
+        for (&class, (scores, evals, own)) in classes.iter().zip(scored) {
             utility_evals += evals;
-            select_class_from_scores(pool, class, &scores, &self.config, &mut shapelets);
+            let picked =
+                select_class_from_scores(pool, class, &scores, &self.config, &mut shapelets);
+            // One row per motif (empty rows after DT+CR scoring).
+            let width = own.len() / scores.len().max(1);
+            own_class_dists.extend(picked.iter().map(|&i| own[i * width..][..width].to_vec()));
         }
         Ok(Selection {
             shapelets,
             utility_evals,
             cache_stats,
+            own_class_dists,
             degraded,
         })
     }
@@ -1387,6 +1401,7 @@ impl Selector for ScoreRankSelector {
             shapelets,
             utility_evals,
             cache_stats: CacheStats::default(),
+            own_class_dists: Vec::new(),
             degraded: false,
         })
     }

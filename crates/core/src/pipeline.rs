@@ -1,13 +1,16 @@
 //! The end-to-end IPS pipeline: discovery (Algorithms 1–4) plus the
 //! shapelet-transform + linear-SVM classifier of Section III-E.
 
+use std::collections::HashMap;
+
 use ips_classify::svm::SvmParams;
 use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
+use ips_distance::{DistCache, Metric};
 use ips_obs::{MetricsSnapshot, RunRecord};
 use ips_tsdata::{Dataset, TimeSeries};
 
 use crate::config::IpsConfig;
-use crate::engine::{Engine, RunReport, Stage};
+use crate::engine::{Engine, RunReport};
 use crate::error::IpsError;
 
 /// Outcome of shapelet discovery ([`Engine::run`]).
@@ -15,6 +18,9 @@ use crate::error::IpsError;
 pub struct DiscoveryResult {
     /// The selected shapelets (`k` per class, best-first within a class).
     pub shapelets: Vec<Shapelet>,
+    /// [`Selection::own_class_dists`](crate::engine::Selection::own_class_dists),
+    /// for the classifier's shapelet transform.
+    pub(crate) own_class_dists: Vec<Vec<f64>>,
     /// True when a [`crate::config::DiscoveryBudget`] limit tripped and
     /// the run returned its best-so-far shapelets instead of the full
     /// computation. Always `false` on unbudgeted runs.
@@ -107,20 +113,22 @@ impl IpsClassifier {
         let features = {
             let _span = metrics.time("fit.transform");
             if config.use_fft_kernel {
-                // Reuse the distance cache accumulated during discovery:
+                // Reuse discovery's distance work: the run cache carries
                 // the training series' plans (window statistics, FFT
-                // spectra) carry over into the transform.
+                // spectra), and scoring already computed every (shapelet,
+                // own-class instance) feature unless its metric differs.
+                if (config.metric == Metric::ZNormEuclidean) != znorm {
+                    result.own_class_dists.clear();
+                }
+                let own = &result.own_class_dists;
                 let mut cache = ctx.take_dist_cache();
-                let features = transform.transform_with_cache(train, &mut cache);
-                // Cumulative over discovery + transform — the fit's whole
-                // cache story, not just the transform's share. The cache
-                // books only computed evals; the requests exact scoring
-                // answered from an earlier distance are the top-k stage's.
+                let (features, reused) = train_features(&transform, train, own, &mut cache);
+                // The fit's distance work over discovery + transform: the
+                // distances computed (the run cache counts every one) and
+                // the requests answered from a distance computed earlier
+                // (exact scoring's duplicates and the reused features).
                 let mut stats = cache.stats();
-                stats.cache_hits += result
-                    .report
-                    .stage(Stage::TopK)
-                    .map_or(0, |r| r.counters.cache_hits);
+                stats.cache_hits += reused + result.report.counters().cache_hits;
                 stats.record_into(&metrics, "cache.");
                 features
             } else {
@@ -187,9 +195,40 @@ impl IpsClassifier {
     }
 }
 
+/// The training feature matrix through `cache`, taking shapelet `j`'s
+/// features for the instances of its class from `own[j]` (distances in
+/// [`Dataset::class_indices`] order; an empty row or a missing entry is
+/// computed). Returns the features and how many were taken from `own`.
+fn train_features(
+    transform: &ShapeletTransform,
+    train: &Dataset,
+    own: &[Vec<f64>],
+    cache: &mut DistCache,
+) -> (Vec<Vec<f64>>, usize) {
+    let mut class_pos: HashMap<u32, usize> = HashMap::new();
+    let mut reused = 0;
+    let mut features = Vec::new();
+    for (series, &label) in train.all_series().iter().zip(train.labels()) {
+        // The series' position within its class.
+        let pos = *class_pos.entry(label).and_modify(|p| *p += 1).or_default();
+        let row = transform.shapelets().iter().enumerate().map(|(j, s)| {
+            let known = own
+                .get(j)
+                .filter(|_| s.class == label)
+                .and_then(|d| d.get(pos));
+            reused += usize::from(known.is_some());
+            let compute = || s.distance_to_cached(series.values(), transform.znorm(), cache);
+            known.copied().unwrap_or_else(compute)
+        });
+        features.push(row.collect());
+    }
+    (features, reused)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Stage;
     use ips_tsdata::{registry, DatasetSpec, SynthGenerator};
     use std::time::Duration;
 
@@ -232,7 +271,9 @@ mod tests {
     #[test]
     fn fit_populates_observability_metrics() {
         let (train, _) = registry::load("ItalyPowerDemand").unwrap();
-        let model = IpsClassifier::fit(&train, fast_cfg()).unwrap();
+        let mut cfg = fast_cfg();
+        cfg.use_dt_cr = false;
+        let model = IpsClassifier::fit(&train, cfg.clone()).unwrap();
         let stats = model.discovery();
         let m = &stats.metrics;
         // Engine stages mirrored, head spans added.
@@ -248,13 +289,25 @@ mod tests {
             m.counters["discovery.candidates_generated"],
             stats.report.candidates_generated() as u64
         );
-        // The cache totals cover discovery plus the shapelet transform, so
-        // they dominate the discovery-stage counters.
-        let report_counters = stats.report.counters();
-        assert!(
-            m.counters["cache.kernel_evals"] + m.counters["cache.cache_hits"]
-                >= (report_counters.kernel_evals + report_counters.cache_hits) as u64
+        // The cache totals cover discovery's requests plus one per
+        // feature; the (shapelet, own-class instance) features come from
+        // scoring's distances, as hits.
+        let topk = stats.report.counters();
+        let class_size = |s: &Shapelet| train.class_indices(s.class).len();
+        let own: usize = model.shapelets().iter().map(class_size).sum();
+        let n_features = model.transform().dim() * train.len();
+        let c = |k: &str| m.counters[k] as usize;
+        assert_eq!(c("cache.cache_hits"), topk.cache_hits + own);
+        assert_eq!(
+            c("cache.kernel_evals"),
+            topk.kernel_evals + n_features - own
         );
+        // Those features are the ones a fresh transform computes.
+        let res = Engine::from_config(&cfg).run(&train).unwrap();
+        let t = ShapeletTransform::new(res.shapelets, cfg.znorm_transform);
+        let (features, _) = train_features(&t, &train, &res.own_class_dists, &mut DistCache::new());
+        let fresh = t.transform_with_cache(&train, &mut DistCache::new());
+        assert_eq!(features, fresh);
         assert!(m.gauges.contains_key("cache.hit_rate"));
         // And the whole thing serializes as a valid versioned record.
         let record = stats.to_record("ItalyPowerDemand");

@@ -53,15 +53,16 @@ pub fn select_top_k(
 /// The per-class half of Algorithm 4: given utility scores for the motif
 /// candidates of `class` (in `pool.motifs_of(class)` order, lower is
 /// better), polls the diversity-guarded priority queue and appends the
-/// selected shapelets to `out`. Pure in its inputs, so scoring may run
-/// class-parallel and selection applies sequentially in class order.
+/// selected shapelets to `out`, returning their motif indices in the
+/// same order. Pure in its inputs, so scoring may run class-parallel and
+/// selection applies sequentially in class order.
 pub(crate) fn select_class_from_scores(
     pool: &CandidatePool,
     class: u32,
     scores: &[f64],
     config: &IpsConfig,
     out: &mut Vec<Shapelet>,
-) {
+) -> Vec<usize> {
     let motifs: Vec<&Candidate> = pool.motifs_of(class).collect();
     debug_assert_eq!(scores.len(), motifs.len());
     // min-queue over (score, index); Reverse() flips BinaryHeap's max
@@ -117,7 +118,7 @@ pub(crate) fn select_class_from_scores(
     // Present best-first within the class regardless of which pass
     // (diverse or fallback) admitted a candidate.
     selected.sort_by_key(|a| a.0);
-    for (score, idx) in selected {
+    for &(score, idx) in &selected {
         let c = motifs[idx];
         out.push(Shapelet {
             values: c.values.clone(),
@@ -128,6 +129,7 @@ pub(crate) fn select_class_from_scores(
             score: -score.0,
         });
     }
+    selected.into_iter().map(|(_, idx)| idx).collect()
 }
 
 /// Mean pairwise Euclidean distance between candidate embeddings (the

@@ -68,16 +68,20 @@ fn compute_min_dist(a: &[f64], b: &[f64], metric: Metric) -> f64 {
 /// function — they cannot enumerate requests or combine distances
 /// differently, which is what makes chunked scoring bit-identical to the
 /// reference.
+///
+/// Returns the scores, the request count, and each motif's distances to
+/// the class's training instances (the `U_DC` term), motif-major: row `i`
+/// holds motif `i`'s distances in [`Dataset::class_indices`] order.
 fn score_exact_core<'a>(
     pool: &'a CandidatePool,
     train: &'a Dataset,
     class: u32,
     intra_sum: &mut Vec<f64>,
     dist: &mut dyn FnMut(&'a [f64], &'a [f64]) -> f64,
-) -> (Vec<f64>, usize) {
+) -> (Vec<f64>, usize, Vec<f64>) {
     let motifs: Vec<&Candidate> = pool.motifs_of(class).collect();
     if motifs.is_empty() {
-        return (Vec::new(), 0);
+        return (Vec::new(), 0, Vec::new());
     }
     // CR: intra-class pairwise distances form a symmetric matrix computed
     // once (the paper: "we calculate the distances between every two
@@ -107,6 +111,7 @@ fn score_exact_core<'a>(
         .map(|i| train.series(i).values())
         .collect();
 
+    let mut own = Vec::with_capacity(n * instances.len());
     let scores = motifs
         .iter()
         .enumerate()
@@ -121,7 +126,9 @@ fn score_exact_core<'a>(
             let u_dc = if instances.is_empty() {
                 0.5
             } else {
-                let s: f64 = instances.iter().map(|t| dist(&m.values, t)).sum();
+                let row = own.len();
+                own.extend(instances.iter().map(|t| dist(&m.values, t)));
+                let s: f64 = own[row..].iter().sum();
                 sigmoid(s / instances.len() as f64)
             };
             u_intra - u_inter + u_dc
@@ -130,7 +137,7 @@ fn score_exact_core<'a>(
     // Every sliding distance requested: the symmetric intra matrix, one
     // per (motif, other-class candidate), one per (motif, own instance).
     let evals = n * (n - 1) / 2 + n * others.len() + n * instances.len();
-    (scores, evals)
+    (scores, evals, own)
 }
 
 /// One distinct sliding-distance request, oriented the way the distance
@@ -251,7 +258,9 @@ pub(crate) fn exact_request_plan<'a>(
 /// of the recording pass, and the score arithmetic runs in
 /// [`score_exact`]'s order — bit-identical at any thread count or chunk
 /// size, and to [`score_exact`] itself whenever the distances are (always
-/// when resolved without a cache).
+/// when resolved without a cache). The motifs' own-instance distances
+/// come back too (see [`score_exact_core`]), for the shapelet transform
+/// to reuse.
 pub(crate) fn score_exact_replay(
     pool: &CandidatePool,
     train: &Dataset,
@@ -259,7 +268,7 @@ pub(crate) fn score_exact_replay(
     intra_sum: &mut Vec<f64>,
     plan: &ClassRequests<'_>,
     unique_dists: &[f64],
-) -> (Vec<f64>, usize) {
+) -> (Vec<f64>, usize, Vec<f64>) {
     let mut r = 0usize;
     let mut replay = |_a: &[f64], _b: &[f64]| {
         let d = unique_dists[plan.req_to_unique[r]];
@@ -576,7 +585,7 @@ mod tests {
                 .map(|r| r.resolve(cfg.metric, Some(&mut cache)))
                 .collect();
             unique_total += dists.len();
-            let (forced, requests) =
+            let (forced, requests, own) =
                 score_exact_replay(&pool, &train, c, &mut Vec::new(), &plan, &dists);
             assert_eq!(plain.len(), forced.len());
             assert_eq!(requests, plan.req_to_unique.len());
@@ -585,6 +594,15 @@ mod tests {
                     (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
                     "class {c} candidate {i}: naive {a} vs forced-kernel {b}"
                 );
+            }
+            // The motifs' own-instance distances come back motif-major.
+            let instances = train.class_indices(c);
+            assert_eq!(own.len(), plain.len() * instances.len());
+            for (m, row) in pool.motifs_of(c).zip(own.chunks(instances.len())) {
+                for (&t, &d) in instances.iter().zip(row) {
+                    let want = compute_min_dist(&m.values, train.series(t).values(), cfg.metric);
+                    assert!((d - want).abs() <= 1e-9 * (1.0 + want.abs()), "class {c}");
+                }
             }
         }
         assert!(unique_total > 0);

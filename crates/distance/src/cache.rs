@@ -11,8 +11,10 @@
 //!   transform size, shared across series of similar length.
 //!
 //! Results are not remembered: every request is computed. Callers that
-//! issue the same request twice deduplicate it themselves (the engine's
-//! exact-scoring plan does, before any distance is computed).
+//! would issue the same request twice reuse their own results instead:
+//! the engine's exact-scoring plan drops repeats before any distance is
+//! computed, and the classifier's shapelet transform takes the
+//! (shapelet, own-class instance) distances scoring already computed.
 //!
 //! Plans are keyed by a **content hash** of the series' raw `f64` bit
 //! patterns (two independent 64-bit FNV-style hashes plus the length), so
@@ -37,10 +39,11 @@ use crate::metric::Metric;
 /// Every [`DistCache::min_dist`] call is one **eval** (computed, via either
 /// the FFT kernel or the naive fallback — the counter tracks requests
 /// computed, not which code path served them). A cache never books
-/// `cache_hits` itself: that field counts requests a caller deduplicated
-/// up front and answered from an earlier eval (the engine's exact-scoring
-/// plan adds its duplicates there), so `kernel_evals + cache_hits` equals
-/// the number of distance requests the caller's algorithm issued.
+/// `cache_hits` itself: that field counts requests a caller answered from
+/// an earlier eval (the engine's exact-scoring plan adds its duplicates
+/// there, a fit its transform's reused features), so `kernel_evals +
+/// cache_hits` equals the number of distance requests the caller's
+/// algorithm issued.
 /// `kernel_fallbacks` counts the *subset* of evals where the FFT path was
 /// selected but could not serve the request (non-finite input, or an
 /// injected failure from the fault harness) and the cache degraded to the

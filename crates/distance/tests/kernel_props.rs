@@ -231,7 +231,7 @@ fn cache_agrees_with_naive_and_partitions_requests() {
                 }
             }
         }
-        // no result memo: every request, repeats included, is one eval
+        // no result memo; every request, repeats included, is one eval
         let st = cache.stats();
         assert_eq!(st.kernel_evals, requests, "case {case}");
         assert_eq!(st.cache_hits, 0, "case {case}");

@@ -17,13 +17,6 @@ committed ``results/BENCH_pipeline.baseline.json``:
   gate; the summed total (large enough to average jitter out) gets the
   ratio alone.
 * ``resolved_threads`` is machine-dependent and informational only.
-* **Cache counters mean what they say** (also in ``--grid`` and
-  ``--scaling`` modes): in every fresh record carrying ``top_k.*``
-  counters, ``cache.cache_hits`` must equal ``top_k.cache_hits`` (the
-  distance cache books only computed evals; the only hits are the
-  requests exact scoring deduplicated) and ``cache.kernel_evals`` must be
-  at least ``top_k.kernel_evals`` (BSPCOVER, whose ``cache.*`` covers
-  only its transform, is exempt from the latter).
 
 ``--append-trajectory [PATH]`` additionally appends one JSON line per
 invocation to a trajectory file (default
@@ -109,9 +102,7 @@ baseline must pass against itself, and both an injected accuracy flip
 and an injected rank inversion must fail. Scaling mode: the baseline
 must pass against itself, and both an injected sampled-cell accuracy
 drop and an injected cross-thread counter divergence (sampled-pool
-nondeterminism) must fail. In default, grid and scaling modes, one
-extra ``cache.cache_hits`` added to a record with ``top_k.*`` counters
-must also fail. Serve mode: the baseline must pass against
+nondeterminism) must fail. Serve mode: the baseline must pass against
 itself, and both an injected wrong prediction (flipped accuracy +
 perturbed response digest) and an injected cross-thread counter
 divergence must fail.
@@ -153,11 +144,6 @@ INFORMATIONAL_GAUGES = {
 # between grid cells that differ only in chunk size (mirrors the
 # `engine_equivalence` test exemption).
 SCHED_EXEMPT_SUFFIX = ".sched_items"
-
-# Methods whose `cache.*` counters cover only the shapelet transform
-# (their discovery cache is reported under `top_k.*`), so the fit's
-# cache evals need not cover the top-k stage's.
-CACHE_TRANSFORM_ONLY_METHODS = {"bspcover"}
 
 # The grid axis cell whose accuracies feed the rank summary.
 GRID_REFERENCE_VARIANT = ("1", "auto")
@@ -302,12 +288,6 @@ def compare(baseline, fresh, max_ratio, span_key="fit.total"):
     return failures
 
 
-def pipeline_compare(baseline, fresh, max_ratio):
-    """Default mode: the baseline diff with its wall budget, plus the
-    structural cache-counter check on the fresh runs."""
-    return compare(baseline, fresh, max_ratio) + cache_counters_consistent(fresh)
-
-
 def parse_cell(label):
     """Parses ``method/dataset/t<threads>/c<chunk>`` into its four
     coordinates, or None (mirrors ``ips_obs::GridCell::from_label``)."""
@@ -340,58 +320,6 @@ def gauge_diffs(a, b):
         for k in sorted(set(a) | set(b))
         if k not in INFORMATIONAL_GAUGES and a.get(k) != b.get(k)
     ]
-
-
-def cache_counters_consistent(runs):
-    """Structural check on every record carrying ``top_k.*`` counters:
-    the distance cache books only computed evals, so the fit's
-    ``cache.cache_hits`` are exactly the requests exact scoring answered
-    from an earlier distance (``top_k.cache_hits``), and the fit's
-    ``cache.kernel_evals`` cover at least the top-k stage's. BSPCOVER
-    records are exempt from the eval bound only: their coverage cache is
-    reported under ``top_k.*`` and ``cache.*`` covers the transform
-    alone."""
-    failures = []
-    for label in sorted(runs):
-        counters = runs[label]["metrics"]["counters"]
-        if not any(k.startswith("top_k.") for k in counters):
-            continue
-        hits = counters.get("cache.cache_hits", 0)
-        topk_hits = counters.get("top_k.cache_hits", 0)
-        if hits != topk_hits:
-            failures.append(
-                f"{label}: cache.cache_hits != top_k.cache_hits ({hits} vs {topk_hits})"
-            )
-        if label.split("/")[0] in CACHE_TRANSFORM_ONLY_METHODS:
-            continue
-        evals = counters.get("cache.kernel_evals", 0)
-        topk_evals = counters.get("top_k.kernel_evals", 0)
-        if evals < topk_evals:
-            failures.append(
-                f"{label}: cache.kernel_evals < top_k.kernel_evals ({evals} vs {topk_evals})"
-            )
-    return failures
-
-
-def cache_hit_mutation_fails(check, doc, what):
-    """Self-test helper: adds 1 to the ``cache.cache_hits`` of the first
-    record carrying ``top_k.*`` counters in a copy of `doc` and returns
-    the messages `check(doctored_doc, doctored_runs)` raises about it
-    (an empty list means the mutation went undetected, printed as a
-    failure naming `what`)."""
-    doctored_doc = copy.deepcopy(doc)
-    runs = {run["label"]: run for run in doctored_doc["runs"]}
-    target = next(
-        label
-        for label in sorted(runs)
-        if any(k.startswith("top_k.") for k in runs[label]["metrics"]["counters"])
-    )
-    counters = runs[target]["metrics"]["counters"]
-    counters["cache.cache_hits"] = counters.get("cache.cache_hits", 0) + 1
-    caught = [m for m in check(doctored_doc, runs) if "cache.cache_hits !=" in m]
-    if not caught:
-        print(f"{what} self-test FAILED: a cache hit added to {target} was not detected")
-    return caught
 
 
 def grid_labels_well_formed(runs):
@@ -538,7 +466,6 @@ def grid_compare(baseline_doc, baseline_runs, fresh_doc, fresh_runs):
     failures += compare(baseline_runs, fresh_runs, float("inf"))
     failures += grid_axis_invariance(fresh_runs)
     failures += grid_summary_consistent(fresh_doc, fresh_runs)
-    failures += cache_counters_consistent(fresh_runs)
     if baseline_doc.get("datasets") != fresh_doc.get("datasets"):
         failures.append("datasets list drifted from the baseline")
     if baseline_doc.get("summary") != fresh_doc.get("summary"):
@@ -599,19 +526,10 @@ def grid_self_test(baseline_doc, baseline_runs):
         print("grid self-test FAILED: rank inversion in the summary was not detected")
         return 1
 
-    hit_failures = cache_hit_mutation_fails(
-        lambda doc, runs: grid_compare(baseline_doc, baseline_runs, doc, runs),
-        baseline_doc,
-        "grid",
-    )
-    if not hit_failures:
-        return 1
-
     print(
         f"grid self-test OK: identity passes, accuracy flip raises "
         f"{len(flip_failures)} failure(s), rank inversion raises "
-        f"{len(inversion_failures)} failure(s), an extra cache hit raises "
-        f"{len(hit_failures)} failure(s)"
+        f"{len(inversion_failures)} failure(s)"
     )
     return 0
 
@@ -754,7 +672,6 @@ def scaling_compare(baseline_doc, baseline_runs, fresh_doc, fresh_runs):
     failures += compare(baseline_runs, fresh_runs, float("inf"))
     failures += scaling_thread_invariance(fresh_runs)
     failures += scaling_frontier(fresh_runs)
-    failures += cache_counters_consistent(fresh_runs)
     if baseline_doc.get("datasets") != fresh_doc.get("datasets"):
         failures.append("datasets list drifted from the baseline")
     return failures
@@ -820,19 +737,10 @@ def scaling_self_test(baseline_doc, baseline_runs):
         )
         return 1
 
-    hit_failures = cache_hit_mutation_fails(
-        lambda doc, runs: scaling_compare(baseline_doc, baseline_runs, doc, runs),
-        baseline_doc,
-        "scaling",
-    )
-    if not hit_failures:
-        return 1
-
     print(
         f"scaling self-test OK: identity passes, accuracy drop raises "
         f"{len(floor_failures)} floor failure(s), cross-thread divergence "
-        f"raises {len(fork_failures)} nondeterminism failure(s), an extra "
-        f"cache hit raises {len(hit_failures)} failure(s)"
+        f"raises {len(fork_failures)} nondeterminism failure(s)"
     )
     return 0
 
@@ -1286,7 +1194,7 @@ def self_test(baseline, max_ratio):
             print(f"  - {msg}")
         return 1
 
-    clean = pipeline_compare(baseline, copy.deepcopy(baseline), max_ratio)
+    clean = compare(baseline, copy.deepcopy(baseline), max_ratio)
     if clean:
         print("self-test FAILED: baseline does not pass against itself:")
         for msg in clean:
@@ -1298,18 +1206,10 @@ def self_test(baseline, max_ratio):
         span = run["metrics"]["spans"]["fit.total"]
         span["total_ns"] *= 2
         span["max_ns"] *= 2
-    doctored = pipeline_compare(baseline, slowed, max_ratio)
+    doctored = compare(baseline, slowed, max_ratio)
     wall_failures = [m for m in doctored if "regressed" in m]
     if not wall_failures:
         print("self-test FAILED: injected 2x slowdown was not detected")
-        return 1
-
-    hit_failures = cache_hit_mutation_fails(
-        lambda doc, runs: pipeline_compare(baseline, runs, max_ratio),
-        {"runs": list(baseline.values())},
-        "pipeline",
-    )
-    if not hit_failures:
         return 1
 
     trajectory_problems = self_test_trajectory(baseline)
@@ -1322,7 +1222,6 @@ def self_test(baseline, max_ratio):
     print(
         f"self-test OK: loader errors are one-line and actionable, identity "
         f"passes, 2x slowdown raises {len(wall_failures)} wall-time failure(s), "
-        f"an extra cache hit raises {len(hit_failures)} failure(s), "
         f"trajectory folds serve throughput and flags a dirty tree"
     )
     return 0
@@ -1428,7 +1327,7 @@ def main():
     elif args.scaling:
         failures = scaling_compare(baseline_doc, baseline, fresh_doc, fresh)
     else:
-        failures = pipeline_compare(baseline, fresh, args.max_ratio)
+        failures = compare(baseline, fresh, args.max_ratio)
     if args.append_trajectory:
         append_trajectory(args.append_trajectory, fresh, failures)
     if failures:

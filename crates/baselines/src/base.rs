@@ -19,9 +19,9 @@ use ips_classify::svm::SvmParams;
 use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
 use ips_core::candidates::{Candidate, CandidateKind, CandidatePool};
 use ips_core::engine::{
-    CandidateSource, Engine, ExecContext, NoopPruner, ScoreRankSelector, StageObserver, WorkerPool,
+    CandidateSource, Engine, ExecContext, NoopPruner, ScoreRankSelector, StageObserver,
 };
-use ips_core::IpsError;
+use ips_core::{IpsError, WorkerPool};
 use ips_obs::MetricsRegistry;
 use ips_profile::{MatrixProfile, Metric};
 use ips_tsdata::{Dataset, TimeSeries};

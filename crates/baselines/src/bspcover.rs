@@ -17,9 +17,8 @@ use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
 use ips_core::candidates::{Candidate, CandidateKind, CandidatePool};
 use ips_core::engine::{
     CandidateSource, Engine, ExecContext, NoopPruner, Selection, Selector, StageObserver,
-    WorkerPool,
 };
-use ips_core::IpsError;
+use ips_core::{IpsError, WorkerPool};
 use ips_distance::{CacheStats, DistCache, Metric};
 use ips_filter::{BloomFilter, Dabf};
 use ips_lsh::{embed, Lsh, LshKind, LshParams};
@@ -330,20 +329,23 @@ pub fn discover_bspcover_shapelets_observed(
 
 /// [`discover_bspcover_shapelets`] with stage telemetry mirrored into a
 /// shared [`MetricsRegistry`] (`stage.*` spans plus per-stage counters).
+/// Also returns the run's distance cache, which holds the per-series
+/// plans coverage scoring built, for the shapelet transform to reuse.
 pub fn discover_bspcover_shapelets_recorded(
     train: &Dataset,
     config: &BspCoverConfig,
     metrics: &MetricsRegistry,
-) -> Vec<Shapelet> {
+) -> (Vec<Shapelet>, DistCache) {
     let engine = bspcover_engine(config);
     let mut ctx = engine.make_context().with_metrics(metrics.clone());
-    match engine.run_with_ctx(train, &mut ctx) {
+    let shapelets = match engine.run_with_ctx(train, &mut ctx) {
         Ok(result) => result.shapelets,
         // NoCandidates on degenerate inputs, or any validation/stage
         // error surfaced by the hardened engine — the baseline contract
         // stays "degenerate inputs yield an empty vector".
         Err(_) => Vec::new(),
-    }
+    };
+    (shapelets, ctx.take_dist_cache())
 }
 
 /// The BSPCOVER-style classifier: coverage shapelets → transform → SVM.
@@ -364,19 +366,19 @@ impl BspCoverClassifier {
 
     /// [`fit`](Self::fit) with every phase measured into `metrics` —
     /// `stage.*` discovery spans, `fit.transform`/`fit.svm` head spans,
-    /// and `cache.*` distance-cache totals, keyed identically to
-    /// `IpsClassifier::fit` so records diff field-for-field.
+    /// and `cache.*` distance-cache totals over coverage discovery and
+    /// the transform, keyed identically to `IpsClassifier::fit` so
+    /// records diff field-for-field.
     pub fn fit_recorded(
         train: &Dataset,
         config: BspCoverConfig,
         metrics: &MetricsRegistry,
     ) -> Self {
-        let shapelets = discover_bspcover_shapelets_recorded(train, &config, metrics);
+        let (shapelets, mut cache) = discover_bspcover_shapelets_recorded(train, &config, metrics);
         assert!(!shapelets.is_empty(), "BSPCOVER discovered no shapelets");
         let transform = ShapeletTransform::new(shapelets, config.znorm);
-        // One FFT plan per training series, shared across all shapelet
-        // columns of the feature matrix.
-        let mut cache = DistCache::new();
+        // Coverage scoring left one plan per training series in the run
+        // cache; every shapelet column of the feature matrix reuses it.
         let features = {
             let _span = metrics.time("fit.transform");
             transform.transform_with_cache(train, &mut cache)

@@ -56,6 +56,7 @@ use crate::config::IpsConfig;
 use crate::error::IpsError;
 use crate::fault::FaultPlan;
 use crate::pipeline::DiscoveryResult;
+use crate::pool::{panic_message, WorkerPool};
 use crate::pruning::{
     apply_survivors, build_dabf, dabf_survivors_range, naive_filters, naive_survivors_range,
 };
@@ -334,135 +335,6 @@ impl RunReport {
 // Execution context: worker pool + scratch + telemetry sink
 // ---------------------------------------------------------------------------
 
-/// A lightweight handle describing how many worker threads stage
-/// implementations may use. Threads are spawned scoped per [`run`] call
-/// (`std::thread::scope`), so the pool itself holds no OS resources and
-/// is freely copyable.
-///
-/// [`run`]: WorkerPool::run
-#[derive(Debug, Clone, Copy)]
-pub struct WorkerPool {
-    threads: usize,
-}
-
-impl WorkerPool {
-    /// A pool with `num_threads` workers; `0` resolves to the machine's
-    /// available parallelism.
-    pub fn new(num_threads: usize) -> Self {
-        let threads = if num_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            num_threads
-        };
-        Self { threads }
-    }
-
-    /// The resolved worker count (always ≥ 1).
-    pub fn threads(&self) -> usize {
-        self.threads.max(1)
-    }
-
-    /// Evaluates `f(0), …, f(n-1)` and returns the results in index
-    /// order. With more than one worker the tasks self-schedule: workers
-    /// claim the next unclaimed index from a shared atomic counter, so an
-    /// expensive task never strands the rest of a pre-assigned chunk on
-    /// one thread. Each worker accumulates `(index, result)` pairs
-    /// privately and the results are merged in index order after the
-    /// scope joins — claim order never influences the output.
-    ///
-    /// A panicking task re-panics here (with the original message in the
-    /// payload) after every sibling has finished; callers that must not
-    /// unwind use [`try_run`](WorkerPool::try_run).
-    pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        match self.try_run(n, f) {
-            Ok(out) => out,
-            Err(msg) => panic!("worker task panicked: {msg}"),
-        }
-    }
-
-    /// Panic-containing variant of [`run`](WorkerPool::run): each task is
-    /// wrapped in `catch_unwind`, so one panicking task never poisons its
-    /// siblings — every other index still completes. Returns the first
-    /// panicking task's message (in index order) as `Err`.
-    pub fn try_run<T, F>(&self, n: usize, f: F) -> Result<Vec<T>, String>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let catch = |i: usize| {
-            catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| panic_message(p.as_ref()))
-        };
-        let threads = self.threads().min(n);
-        let slots: Vec<Result<T, String>> = if threads <= 1 {
-            (0..n).map(catch).collect()
-        } else {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let mut slots: Vec<Option<Result<T, String>>> = (0..n).map(|_| None).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let catch = &catch;
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                local.push((i, catch(i)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    // The task body is panic-caught by `catch`, so a join
-                    // error cannot carry a lost result; an (impossible)
-                    // harness panic would leave a hole and trip the
-                    // "every index evaluated" check below.
-                    if let Ok(local) = handle.join() {
-                        for (i, result) in local {
-                            slots[i] = Some(result);
-                        }
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every index evaluated"))
-                .collect()
-        };
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            out.push(slot?);
-        }
-        Ok(out)
-    }
-}
-
-/// Renders a `catch_unwind` payload as text: the panic message for the
-/// ordinary `&str` / `String` payloads, a placeholder otherwise.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Reusable scratch state shared across stages of one run: recycled
 /// buffers for the exact-scoring replay pass, and the run's accumulated
 /// [`DistCache`] — per-series plans (window statistics, FFT spectra) and
@@ -551,9 +423,9 @@ impl<'o> ExecContext<'o> {
         &self.metrics
     }
 
-    /// The worker pool (copy; stages may call [`WorkerPool::run`]).
-    pub fn workers(&self) -> WorkerPool {
-        self.workers
+    /// The worker pool (stages may call [`WorkerPool::run`]).
+    pub fn workers(&self) -> &WorkerPool {
+        &self.workers
     }
 
     /// The run's fault plan (inert unless the engine was built with
@@ -809,12 +681,12 @@ impl Engine {
     /// [`run`]: Engine::run
     /// [`run_with_ctx`]: Engine::run_with_ctx
     pub fn make_context(&self) -> ExecContext<'static> {
-        ExecContext::new(self.workers)
+        ExecContext::new(self.workers.clone())
     }
 
     /// Runs the staged pipeline.
     pub fn run(&self, train: &Dataset) -> Result<DiscoveryResult, IpsError> {
-        let mut ctx = ExecContext::new(self.workers);
+        let mut ctx = ExecContext::new(self.workers.clone());
         self.run_with_ctx(train, &mut ctx)
     }
 
@@ -825,7 +697,7 @@ impl Engine {
         train: &Dataset,
         observer: &mut dyn StageObserver,
     ) -> Result<DiscoveryResult, IpsError> {
-        let mut ctx = ExecContext::new(self.workers).with_observer(observer);
+        let mut ctx = ExecContext::new(self.workers.clone()).with_observer(observer);
         self.run_with_ctx(train, &mut ctx)
     }
 
@@ -1035,7 +907,7 @@ impl CandidateSource for ProfileCandidateSource {
         let partition = TaskPartition::new(&units, self.config.chunk_size);
         ctx.note_sched_items(Stage::CandidateGen, partition.len());
         let pairs = PairTable::new(self.config.metric);
-        let per_item = partition.run(&ctx.workers(), |item| {
+        let per_item = partition.run(ctx.workers(), |item| {
             let class = classes[item.class_idx];
             let mut out = Vec::new();
             for sample_idx in item.start..item.end {
@@ -1074,10 +946,9 @@ fn prune_scheduled(
     let units: Vec<usize> = classes.iter().map(|&c| pool.of_class(c).len()).collect();
     let partition = TaskPartition::new(&units, chunk);
     ctx.note_sched_items(Stage::Pruning, partition.len());
-    let workers = ctx.workers();
     let per_item = {
         let pool = &*pool;
-        partition.run(&workers, |item| {
+        partition.run(ctx.workers(), |item| {
             survivors(pool, classes[item.class_idx], item.start, item.end)
         })
     };
@@ -1259,7 +1130,7 @@ impl UtilitySelector {
         let partition = TaskPartition::new(&units, self.config.chunk_size);
         ctx.note_sched_items(Stage::TopK, partition.len());
         let metric = self.config.metric;
-        let per_item = partition.run(&ctx.workers(), |item| {
+        let per_item = partition.run(ctx.workers(), |item| {
             let mut cache = make_cache();
             let dists: Vec<f64> = plans[item.class_idx].unique[item.start..item.end]
                 .iter()
@@ -1330,7 +1201,7 @@ impl Selector for UtilitySelector {
                     let units: Vec<usize> = batch.iter().map(|&c| pool.of_class(c).len()).collect();
                     let partition = TaskPartition::per_class(&units);
                     ctx.note_sched_items(Stage::TopK, partition.len());
-                    partition.run(&ctx.workers(), |item| {
+                    partition.run(ctx.workers(), |item| {
                         let c = batch[item.class_idx];
                         let (s, e) = score_dt_cr_counted(pool, train, dabf, &self.config, c);
                         (s, e, Vec::new())

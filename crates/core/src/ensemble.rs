@@ -17,9 +17,10 @@ use ips_obs::MetricsRegistry;
 use ips_tsdata::{Dataset, TimeSeries};
 
 use crate::config::IpsConfig;
-use crate::engine::{RunReport, WorkerPool};
+use crate::engine::RunReport;
 use crate::error::IpsError;
 use crate::pipeline::IpsClassifier;
+use crate::pool::WorkerPool;
 use crate::sampling::member_seed;
 use crate::schedule::TaskPartition;
 

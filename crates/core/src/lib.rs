@@ -39,6 +39,7 @@ pub mod explain;
 pub mod fault;
 pub mod multivariate;
 pub mod pipeline;
+pub mod pool;
 pub mod pruning;
 pub mod sampling;
 pub mod schedule;
@@ -49,7 +50,7 @@ pub use candidates::{generate_candidates, Candidate, CandidateKind, CandidatePoo
 pub use config::{CandidateSampling, DiscoveryBudget, IpsConfig, SampleBudget};
 pub use engine::{
     CandidateSource, CollectingObserver, Engine, ExecContext, Pruner, RunReport, Selection,
-    Selector, Stage, StageCounters, StageObserver, StageReport, WorkerPool,
+    Selector, Stage, StageCounters, StageObserver, StageReport,
 };
 pub use ensemble::{CoteIpsEnsemble, EnsembleConfig, SampledEnsembleConfig, SampledIpsEnsemble};
 pub use error::IpsError;
@@ -57,6 +58,7 @@ pub use explain::{explain_prediction, explanation_text, Explanation, MatchExplan
 pub use fault::{FaultPlan, FaultStage};
 pub use multivariate::{MultivariateDataset, MultivariateIps};
 pub use pipeline::{DiscoveryResult, DiscoveryStats, IpsClassifier};
+pub use pool::WorkerPool;
 pub use pruning::{build_dabf, prune_naive, prune_with_dabf};
 pub use sampling::{member_seed, sample_pool, SampledCandidateSource};
 pub use schedule::{ChunkSize, TaskPartition, WorkItem};

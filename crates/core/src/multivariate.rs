@@ -8,8 +8,9 @@ use ips_classify::{LinearSvm, ShapeletTransform};
 use ips_tsdata::{Dataset, TimeSeries};
 
 use crate::config::IpsConfig;
-use crate::engine::{Engine, RunReport, WorkerPool};
+use crate::engine::{Engine, RunReport};
 use crate::error::IpsError;
+use crate::pool::WorkerPool;
 
 /// A multivariate dataset: one aligned [`Dataset`] per dimension, sharing
 /// labels.

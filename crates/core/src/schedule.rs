@@ -17,7 +17,7 @@
 //! engine's bit-identity contract (pinned by `engine_equivalence`)
 //! survives at every thread count *and* every chunk size.
 
-use crate::engine::WorkerPool;
+use crate::pool::WorkerPool;
 
 /// Granularity knob for the work-item scheduler, exposed as
 /// [`IpsConfig::chunk_size`](crate::config::IpsConfig::chunk_size).

@@ -6,7 +6,10 @@
 //! by model (sorted name order), partitioned into [`TaskPartition`] work
 //! items, and evaluated across the engine's [`WorkerPool`] — so
 //! throughput scales with worker threads while the partition itself
-//! stays a pure function of the workload and the chunk knob.
+//! stays a pure function of the workload and the chunk knob. The server
+//! owns one pool for its lifetime: its helper threads are spawned by the
+//! first batch that needs them and parked between flushes, and the
+//! thread calling [`IpsServer::flush`] scores as worker 0.
 //!
 //! **Determinism contract** (DESIGN.md §14): every scoring path routes
 //! through [`ServableModel::predict`] on a [`DistCache`]. The cache keeps
@@ -215,7 +218,7 @@ impl IpsServer {
         let counts: Vec<usize> = indices.iter().map(Vec::len).collect();
         let partition = TaskPartition::new(&counts, self.config.chunk_size);
         let item_results = partition
-            .try_run(&self.ctx.workers(), |item| {
+            .try_run(self.ctx.workers(), |item| {
                 // One cache per work item: series plans and FFT tables are
                 // shared by the item's requests, never mutated across
                 // threads.

@@ -15,8 +15,9 @@
 //! [`BaseConfig::mask_boundaries`] enables the masked variant for
 //! ablation.
 
-use ips_classify::svm::SvmParams;
-use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
+use std::ops::Deref;
+
+use ips_classify::{Shapelet, ShapeletClassifier, ShapeletTransform};
 use ips_core::candidates::{Candidate, CandidateKind, CandidatePool};
 use ips_core::engine::{
     CandidateSource, Engine, ExecContext, NoopPruner, ScoreRankSelector, StageObserver,
@@ -24,7 +25,7 @@ use ips_core::engine::{
 use ips_core::{IpsError, WorkerPool};
 use ips_obs::MetricsRegistry;
 use ips_profile::{MatrixProfile, Metric};
-use ips_tsdata::{Dataset, TimeSeries};
+use ips_tsdata::Dataset;
 
 /// Configuration of the BASE method.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,10 +233,7 @@ pub fn discover_base_shapelets_recorded(
 /// The full BASE classifier: Formula-4 shapelets → shapelet transform →
 /// linear SVM (the same head as IPS, per the paper's fairness setup).
 #[derive(Debug, Clone)]
-pub struct BaseClassifier {
-    transform: ShapeletTransform,
-    svm: LinearSvm,
-}
+pub struct BaseClassifier(ShapeletClassifier);
 
 impl BaseClassifier {
     /// Fits on a training set.
@@ -264,34 +262,21 @@ impl BaseClassifier {
             transform.transform_with_cache(train, &mut cache)
         };
         cache.stats().record_into(metrics, "cache.");
-        let svm = {
-            let _span = metrics.time("fit.svm");
-            LinearSvm::fit(
-                &features,
-                train.labels(),
-                SvmParams {
-                    seed: config.seed,
-                    ..SvmParams::default()
-                },
-            )
-        };
-        Self { transform, svm }
+        let _span = metrics.time("fit.svm");
+        Self(ShapeletClassifier::fit(
+            transform,
+            &features,
+            train.labels(),
+            config.seed,
+        ))
     }
+}
 
-    /// Predicts one series.
-    pub fn predict(&self, series: &TimeSeries) -> u32 {
-        self.svm.predict(&self.transform.transform_one(series))
-    }
+impl Deref for BaseClassifier {
+    type Target = ShapeletClassifier;
 
-    /// Accuracy over a test set.
-    pub fn accuracy(&self, test: &Dataset) -> f64 {
-        let preds: Vec<u32> = test.all_series().iter().map(|s| self.predict(s)).collect();
-        ips_classify::eval::accuracy(&preds, test.labels())
-    }
-
-    /// The selected shapelets.
-    pub fn shapelets(&self) -> &[Shapelet] {
-        self.transform.shapelets()
+    fn deref(&self) -> &ShapeletClassifier {
+        &self.0
     }
 }
 

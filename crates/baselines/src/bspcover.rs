@@ -12,8 +12,9 @@
 //! this method thorough and slow relative to IPS's sampled profiles — the
 //! efficiency contrast of Table IV is structural, not an artifact.
 
-use ips_classify::svm::SvmParams;
-use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
+use std::ops::Deref;
+
+use ips_classify::{Shapelet, ShapeletClassifier, ShapeletTransform};
 use ips_core::candidates::{Candidate, CandidateKind, CandidatePool};
 use ips_core::engine::{
     CandidateSource, Engine, ExecContext, NoopPruner, Selection, Selector, StageObserver,
@@ -23,7 +24,7 @@ use ips_distance::{CacheStats, DistCache, Metric};
 use ips_filter::{BloomFilter, Dabf};
 use ips_lsh::{embed, Lsh, LshKind, LshParams};
 use ips_obs::MetricsRegistry;
-use ips_tsdata::{Dataset, TimeSeries};
+use ips_tsdata::Dataset;
 
 /// Configuration of the BSPCOVER-style method.
 #[derive(Debug, Clone, PartialEq)]
@@ -350,10 +351,7 @@ pub fn discover_bspcover_shapelets_recorded(
 
 /// The BSPCOVER-style classifier: coverage shapelets → transform → SVM.
 #[derive(Debug, Clone)]
-pub struct BspCoverClassifier {
-    transform: ShapeletTransform,
-    svm: LinearSvm,
-}
+pub struct BspCoverClassifier(ShapeletClassifier);
 
 impl BspCoverClassifier {
     /// Fits on a training set.
@@ -384,34 +382,21 @@ impl BspCoverClassifier {
             transform.transform_with_cache(train, &mut cache)
         };
         cache.stats().record_into(metrics, "cache.");
-        let svm = {
-            let _span = metrics.time("fit.svm");
-            LinearSvm::fit(
-                &features,
-                train.labels(),
-                SvmParams {
-                    seed: config.seed,
-                    ..SvmParams::default()
-                },
-            )
-        };
-        Self { transform, svm }
+        let _span = metrics.time("fit.svm");
+        Self(ShapeletClassifier::fit(
+            transform,
+            &features,
+            train.labels(),
+            config.seed,
+        ))
     }
+}
 
-    /// Predicts one series.
-    pub fn predict(&self, series: &TimeSeries) -> u32 {
-        self.svm.predict(&self.transform.transform_one(series))
-    }
+impl Deref for BspCoverClassifier {
+    type Target = ShapeletClassifier;
 
-    /// Accuracy over a test set.
-    pub fn accuracy(&self, test: &Dataset) -> f64 {
-        let preds: Vec<u32> = test.all_series().iter().map(|s| self.predict(s)).collect();
-        ips_classify::eval::accuracy(&preds, test.labels())
-    }
-
-    /// The selected shapelets.
-    pub fn shapelets(&self) -> &[Shapelet] {
-        self.transform.shapelets()
+    fn deref(&self) -> &ShapeletClassifier {
+        &self.0
     }
 }
 

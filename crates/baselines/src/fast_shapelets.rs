@@ -8,11 +8,11 @@
 //! (recorded in DESIGN.md §2).
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Deref;
 
-use ips_classify::svm::SvmParams;
-use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
+use ips_classify::{Shapelet, ShapeletClassifier, ShapeletTransform};
 use ips_distance::sliding_min_dist_znorm;
-use ips_tsdata::{Dataset, TimeSeries};
+use ips_tsdata::Dataset;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -217,10 +217,7 @@ pub fn discover_fs_shapelets(train: &Dataset, config: &FastShapeletsConfig) -> V
 
 /// The FS-style classifier.
 #[derive(Debug, Clone)]
-pub struct FastShapeletsClassifier {
-    transform: ShapeletTransform,
-    svm: LinearSvm,
-}
+pub struct FastShapeletsClassifier(ShapeletClassifier);
 
 impl FastShapeletsClassifier {
     /// Fits on a training set.
@@ -232,31 +229,20 @@ impl FastShapeletsClassifier {
         assert!(!shapelets.is_empty(), "FS discovered no shapelets");
         let transform = ShapeletTransform::new(shapelets, true);
         let features = transform.transform(train);
-        let svm = LinearSvm::fit(
+        Self(ShapeletClassifier::fit(
+            transform,
             &features,
             train.labels(),
-            SvmParams {
-                seed: config.seed,
-                ..SvmParams::default()
-            },
-        );
-        Self { transform, svm }
+            config.seed,
+        ))
     }
+}
 
-    /// Predicts one series.
-    pub fn predict(&self, series: &TimeSeries) -> u32 {
-        self.svm.predict(&self.transform.transform_one(series))
-    }
+impl Deref for FastShapeletsClassifier {
+    type Target = ShapeletClassifier;
 
-    /// Accuracy over a test set.
-    pub fn accuracy(&self, test: &Dataset) -> f64 {
-        let preds: Vec<u32> = test.all_series().iter().map(|s| self.predict(s)).collect();
-        ips_classify::eval::accuracy(&preds, test.labels())
-    }
-
-    /// The selected shapelets.
-    pub fn shapelets(&self) -> &[Shapelet] {
-        self.transform.shapelets()
+    fn deref(&self) -> &ShapeletClassifier {
+        &self.0
     }
 }
 

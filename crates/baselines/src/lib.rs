@@ -13,11 +13,13 @@
 //! * [`lts`] — an LTS-style comparator (Grabocka et al., 2014): shapelets
 //!   learned jointly with a logistic model by gradient descent.
 //!
-//! All four share the classification head of the IPS pipeline (shapelet
-//! transform + linear SVM) so Table VI compares *discovery* methods, not
+//! BASE, BSPCOVER, FS, SD and ST classify through the IPS pipeline's own
+//! head, [`ShapeletClassifier`](ips_classify::ShapeletClassifier)
+//! (shapelet transform + linear SVM), which each classifier wraps and
+//! dereferences to, so Table VI compares *discovery* methods, not
 //! classifier heads. Where an original used a different head (FS: decision
-//! tree; LTS: its own logistic layer), that substitution is recorded in
-//! DESIGN.md §2.
+//! tree; LTS: its own logistic layer, kept here), that substitution is
+//! recorded in DESIGN.md §2.
 
 pub mod base;
 pub mod bspcover;

@@ -10,11 +10,12 @@
 //! with the other reimplemented comparators, the classification head is
 //! the workspace's shared shapelet-transform + linear SVM (DESIGN.md §2).
 
-use ips_classify::svm::SvmParams;
-use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
+use std::ops::Deref;
+
+use ips_classify::{Shapelet, ShapeletClassifier, ShapeletTransform};
 use ips_distance::{sliding_min_dist_znorm, sq_euclidean};
 use ips_lsh::embed;
-use ips_tsdata::{Dataset, TimeSeries};
+use ips_tsdata::Dataset;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -155,10 +156,7 @@ fn mean_pairwise(embeds: &[Vec<f64>]) -> f64 {
 
 /// The SD-style classifier.
 #[derive(Debug, Clone)]
-pub struct SdClassifier {
-    transform: ShapeletTransform,
-    svm: LinearSvm,
-}
+pub struct SdClassifier(ShapeletClassifier);
 
 impl SdClassifier {
     /// Fits on a training set.
@@ -170,31 +168,20 @@ impl SdClassifier {
         assert!(!shapelets.is_empty(), "SD discovered no shapelets");
         let transform = ShapeletTransform::new(shapelets, true);
         let features = transform.transform(train);
-        let svm = LinearSvm::fit(
+        Self(ShapeletClassifier::fit(
+            transform,
             &features,
             train.labels(),
-            SvmParams {
-                seed: config.seed,
-                ..SvmParams::default()
-            },
-        );
-        Self { transform, svm }
+            config.seed,
+        ))
     }
+}
 
-    /// Predicts one series.
-    pub fn predict(&self, series: &TimeSeries) -> u32 {
-        self.svm.predict(&self.transform.transform_one(series))
-    }
+impl Deref for SdClassifier {
+    type Target = ShapeletClassifier;
 
-    /// Accuracy over a test set.
-    pub fn accuracy(&self, test: &Dataset) -> f64 {
-        let preds: Vec<u32> = test.all_series().iter().map(|s| self.predict(s)).collect();
-        ips_classify::eval::accuracy(&preds, test.labels())
-    }
-
-    /// The selected shapelets.
-    pub fn shapelets(&self) -> &[Shapelet] {
-        self.transform.shapelets()
+    fn deref(&self) -> &ShapeletClassifier {
+        &self.0
     }
 }
 

@@ -11,10 +11,11 @@
 //! pruning, a budgeted enumeration stride for tractability, and the
 //! workspace's shared transform + linear-SVM head (DESIGN.md §2).
 
-use ips_classify::svm::SvmParams;
-use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
+use std::ops::Deref;
+
+use ips_classify::{Shapelet, ShapeletClassifier, ShapeletTransform};
 use ips_distance::sliding_min_dist_znorm;
-use ips_tsdata::{Dataset, TimeSeries};
+use ips_tsdata::Dataset;
 
 /// Configuration of the ST-style method.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,10 +175,7 @@ fn overlap_fraction(a_off: usize, a_len: usize, b_off: usize, b_len: usize) -> f
 
 /// The ST-style classifier.
 #[derive(Debug, Clone)]
-pub struct StClassifier {
-    transform: ShapeletTransform,
-    svm: LinearSvm,
-}
+pub struct StClassifier(ShapeletClassifier);
 
 impl StClassifier {
     /// Fits on a training set.
@@ -189,31 +187,20 @@ impl StClassifier {
         assert!(!shapelets.is_empty(), "ST discovered no shapelets");
         let transform = ShapeletTransform::new(shapelets, true);
         let features = transform.transform(train);
-        let svm = LinearSvm::fit(
+        Self(ShapeletClassifier::fit(
+            transform,
             &features,
             train.labels(),
-            SvmParams {
-                seed: config.seed,
-                ..SvmParams::default()
-            },
-        );
-        Self { transform, svm }
+            config.seed,
+        ))
     }
+}
 
-    /// Predicts one series.
-    pub fn predict(&self, series: &TimeSeries) -> u32 {
-        self.svm.predict(&self.transform.transform_one(series))
-    }
+impl Deref for StClassifier {
+    type Target = ShapeletClassifier;
 
-    /// Accuracy over a test set.
-    pub fn accuracy(&self, test: &Dataset) -> f64 {
-        let preds: Vec<u32> = test.all_series().iter().map(|s| self.predict(s)).collect();
-        ips_classify::eval::accuracy(&preds, test.labels())
-    }
-
-    /// The selected shapelets.
-    pub fn shapelets(&self) -> &[Shapelet] {
-        self.transform.shapelets()
+    fn deref(&self) -> &ShapeletClassifier {
+        &self.0
     }
 }
 

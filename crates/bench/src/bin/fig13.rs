@@ -12,6 +12,7 @@ use std::io::Write;
 use ips_baselines::{BspCoverClassifier, BspCoverConfig};
 use ips_bench::ips_config;
 use ips_core::IpsClassifier;
+use ips_distance::DistCache;
 use ips_tsdata::registry;
 
 fn main() {
@@ -47,14 +48,19 @@ fn main() {
     for (c, m) in classes.iter().zip(&means) {
         println!("class {c} mean: {}", spark(m));
     }
-    for (label, shapelets, acc) in [
-        ("IPS", ips.shapelets(), ips.accuracy(&test)),
-        ("BSPCOVER*", bsp.shapelets(), bsp.accuracy(&test)),
-    ] {
-        println!("\n{label} (accuracy {:.2}%):", 100.0 * acc);
-        for s in shapelets {
-            let (d0, at0) = s.best_match(&means[0], true);
-            let (d1, at1) = s.best_match(&means[1], true);
+    for (label, model) in [("IPS", &*ips), ("BSPCOVER*", &*bsp)] {
+        println!(
+            "\n{label} (accuracy {:.2}%):",
+            100.0 * model.accuracy(&test)
+        );
+        // Each class mean scored by the model's own scorer and metric.
+        let mut cache = DistCache::new();
+        let vs: Vec<Vec<(f64, usize)>> = means
+            .iter()
+            .map(|m| model.transform().score(m, &mut cache))
+            .collect();
+        for (j, s) in model.shapelets().iter().enumerate() {
+            let ((d0, at0), (d1, at1)) = (vs[0][j], vs[1][j]);
             println!(
                 "  class {} shapelet len {:>2} @ inst {} off {}: {}",
                 s.class,

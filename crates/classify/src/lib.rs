@@ -5,7 +5,8 @@
 //! and "we adopt SVM with a linear kernel for the classification"
 //! (Section III-E). This crate provides:
 //!
-//! * [`transform`] — shapelets and the shapelet transform;
+//! * [`transform`] — shapelets, the shapelet transform and its one
+//!   scorer, and the transform + SVM head every shapelet classifier shares;
 //! * [`svm`] — a from-scratch linear SVM (one-vs-rest Pegasos SGD);
 //! * [`nn`] — 1NN-ED and 1NN-DTW, the classic baselines of Tables II/VI;
 //! * [`tree`] / [`forest`] — CART decision trees and a Rotation-Forest-
@@ -36,5 +37,5 @@ pub use eval::{accuracy, confusion_matrix, Evaluation};
 pub use forest::{ForestParams, RotationForest};
 pub use nn::{OneNnDtw, OneNnEd};
 pub use svm::LinearSvm;
-pub use transform::{Shapelet, ShapeletTransform};
+pub use transform::{Shapelet, ShapeletClassifier, ShapeletTransform};
 pub use tree::{DecisionTree, TreeParams};

@@ -1,13 +1,21 @@
-//! Shapelets and the shapelet transform (Definitions 6–7).
+//! Shapelets, the shapelet transform (Definitions 6–7), and the
+//! transform + linear-SVM classification head (Section III-E).
 //!
 //! A shapelet is a discriminative subsequence tagged with the class it
 //! represents. The transform maps a series `T_j` to the embedding
 //! `(d_{j,1}, …, d_{j,|S|})` where `d_{j,i} = dist(T_j, S_i)` under the
-//! paper's sliding-min mean-squared distance (Definition 4); a standard
-//! classifier then operates on the embedding.
+//! paper's sliding-min mean-squared distance (Definition 4), or its
+//! z-normalized variant; a [`ShapeletClassifier`] then classifies the
+//! embedding with a linear SVM.
+//!
+//! Every distance between a shapelet and a series — a fit's features, a
+//! prediction, a served request, an explanation's best match — comes from
+//! one scorer, [`ShapeletTransform::score`], through a [`DistCache`].
 
-use ips_distance::{sliding_min_dist, sliding_min_dist_znorm, DistCache, Metric};
+use ips_distance::{DistCache, Metric, SliceKey};
 use ips_tsdata::{Dataset, TimeSeries};
+
+use crate::svm::{LinearSvm, SvmParams};
 
 /// A discovered shapelet: the subsequence, the class it represents, and
 /// provenance (where it was extracted).
@@ -48,38 +56,6 @@ impl Shapelet {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
-
-    /// Distance from this shapelet to a series (Definition 4 / Formula 3).
-    pub fn distance_to(&self, series: &[f64], znorm: bool) -> f64 {
-        if znorm {
-            sliding_min_dist_znorm(&self.values, series).0
-        } else {
-            sliding_min_dist(&self.values, series).0
-        }
-    }
-
-    /// Best-match offset of this shapelet in a series.
-    pub fn best_match(&self, series: &[f64], znorm: bool) -> (f64, usize) {
-        if znorm {
-            sliding_min_dist_znorm(&self.values, series)
-        } else {
-            sliding_min_dist(&self.values, series)
-        }
-    }
-
-    /// [`distance_to`](Self::distance_to) routed through the FFT/MASS
-    /// distance cache, which reuses the series' plan across calls. The
-    /// cache's crossover heuristic keeps the naive loop for short inputs,
-    /// so the value matches `distance_to` up to FFT rounding (~1e-9
-    /// relative).
-    pub fn distance_to_cached(&self, series: &[f64], znorm: bool, cache: &mut DistCache) -> f64 {
-        let metric = if znorm {
-            Metric::ZNormEuclidean
-        } else {
-            Metric::MeanSquared
-        };
-        cache.min_dist(&self.values, series, metric).0
-    }
 }
 
 /// The shapelet transform: a fixed set of shapelets defining an embedding.
@@ -92,8 +68,8 @@ pub struct ShapeletTransform {
 
 impl ShapeletTransform {
     /// Builds a transform from discovered shapelets. `znorm` selects the
-    /// z-normalized distance variant (the paper's Definition 4 is raw, so
-    /// the pipeline default is `false`).
+    /// z-normalized distance variant (the paper's Definition 4 is raw; the
+    /// pipeline default is z-normalized).
     pub fn new(shapelets: Vec<Shapelet>, znorm: bool) -> Self {
         assert!(
             !shapelets.is_empty(),
@@ -118,40 +94,135 @@ impl ShapeletTransform {
         self.znorm
     }
 
-    /// Transforms one series into its distance embedding.
-    pub fn transform_one(&self, series: &TimeSeries) -> Vec<f64> {
+    /// The scorer: every shapelet's `(distance, best-match offset)`
+    /// against `series`, in embedding order, drawn from `cache` (which
+    /// keeps the series' plan for every shapelet of the row, and across
+    /// rows when the series repeats). The series is content-hashed once
+    /// for the whole row. The offset indexes `series`, except for a
+    /// shapelet longer than the series, where the series slides over the
+    /// shapelet and the offset indexes the shapelet.
+    pub fn score(&self, series: &[f64], cache: &mut DistCache) -> Vec<(f64, usize)> {
+        let key = SliceKey::of(series);
         self.shapelets
             .iter()
-            .map(|s| s.distance_to(series.values(), self.znorm))
+            .map(|s| self.score_keyed(s, series, key, cache))
             .collect()
     }
 
-    /// Transforms a whole dataset into a feature matrix (row per
-    /// instance).
-    pub fn transform(&self, data: &Dataset) -> Vec<Vec<f64>> {
-        data.all_series()
-            .iter()
-            .map(|s| self.transform_one(s))
-            .collect()
+    /// One entry of [`score`](Self::score): `shapelet` against `series`
+    /// under this transform's metric, for a caller that holds `key`
+    /// (= [`SliceKey::of`]`(series)`) and needs only part of a row.
+    pub fn score_keyed(
+        &self,
+        shapelet: &Shapelet,
+        series: &[f64],
+        key: SliceKey,
+        cache: &mut DistCache,
+    ) -> (f64, usize) {
+        let metric = if self.znorm {
+            Metric::ZNormEuclidean
+        } else {
+            Metric::MeanSquared
+        };
+        if shapelet.len() <= series.len() {
+            cache.min_dist_keyed(key, &shapelet.values, series, metric)
+        } else {
+            cache.min_dist(&shapelet.values, series, metric)
+        }
     }
 
-    /// [`transform_one`](Self::transform_one) drawing distances from a
-    /// shared cache: each series' plan (window statistics, FFT spectrum)
-    /// is built once and reused across all shapelets — and across stages,
-    /// when the cache comes from discovery.
+    /// One series' distance embedding, through `cache`.
     pub fn transform_one_with_cache(&self, series: &TimeSeries, cache: &mut DistCache) -> Vec<f64> {
-        self.shapelets
-            .iter()
-            .map(|s| s.distance_to_cached(series.values(), self.znorm, cache))
+        self.score(series.values(), cache)
+            .into_iter()
+            .map(|(d, _)| d)
             .collect()
     }
 
-    /// [`transform`](Self::transform) through a shared distance cache.
+    /// A dataset's feature matrix (row per instance) through `cache` —
+    /// when the cache comes from discovery, the transform starts from the
+    /// training series' plans.
     pub fn transform_with_cache(&self, data: &Dataset, cache: &mut DistCache) -> Vec<Vec<f64>> {
         data.all_series()
             .iter()
             .map(|s| self.transform_one_with_cache(s, cache))
             .collect()
+    }
+
+    /// [`transform_with_cache`](Self::transform_with_cache) through a
+    /// fresh cache.
+    pub fn transform(&self, data: &Dataset) -> Vec<Vec<f64>> {
+        self.transform_with_cache(data, &mut DistCache::new())
+    }
+}
+
+/// The classification head (Section III-E): a shapelet transform and the
+/// linear SVM trained on its embedding. IPS and every shapelet baseline
+/// classify through this one type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShapeletClassifier {
+    transform: ShapeletTransform,
+    svm: LinearSvm,
+}
+
+impl ShapeletClassifier {
+    /// Pairs a transform with an SVM trained on its embedding.
+    pub fn new(transform: ShapeletTransform, svm: LinearSvm) -> Self {
+        Self { transform, svm }
+    }
+
+    /// Trains the SVM on `features` — the transform's embedding of a
+    /// training set labelled `labels` — with the default SVM parameters
+    /// under `seed`.
+    pub fn fit(
+        transform: ShapeletTransform,
+        features: &[Vec<f64>],
+        labels: &[u32],
+        seed: u64,
+    ) -> Self {
+        let params = SvmParams {
+            seed,
+            ..SvmParams::default()
+        };
+        Self::new(transform, LinearSvm::fit(features, labels, params))
+    }
+
+    /// The shapelet transform.
+    pub fn transform(&self) -> &ShapeletTransform {
+        &self.transform
+    }
+
+    /// The SVM head.
+    pub fn svm(&self) -> &LinearSvm {
+        &self.svm
+    }
+
+    /// The shapelets, in embedding order.
+    pub fn shapelets(&self) -> &[Shapelet] {
+        self.transform.shapelets()
+    }
+
+    /// Predicts one series through `cache` (a server shares one across a
+    /// work item's requests).
+    pub fn predict_with_cache(&self, series: &TimeSeries, cache: &mut DistCache) -> u32 {
+        self.svm
+            .predict(&self.transform.transform_one_with_cache(series, cache))
+    }
+
+    /// Predicts one series through a fresh cache, so memory stays bounded
+    /// however many series are predicted.
+    pub fn predict(&self, series: &TimeSeries) -> u32 {
+        self.predict_with_cache(series, &mut DistCache::new())
+    }
+
+    /// Predicts a whole test set.
+    pub fn predict_all(&self, test: &Dataset) -> Vec<u32> {
+        test.all_series().iter().map(|s| self.predict(s)).collect()
+    }
+
+    /// Accuracy on a test set.
+    pub fn accuracy(&self, test: &Dataset) -> f64 {
+        crate::eval::accuracy(&self.predict_all(test), test.labels())
     }
 }
 
@@ -181,13 +252,12 @@ mod tests {
 
     #[test]
     fn distance_is_zero_at_exact_occurrence() {
-        let s = Shapelet::new(vec![5.0, 6.0, 5.0], 0);
+        let t = ShapeletTransform::new(vec![Shapelet::new(vec![5.0, 6.0, 5.0], 0)], false);
         let d = dataset();
-        assert_eq!(s.distance_to(d.series(0).values(), false), 0.0);
-        assert!(s.distance_to(d.series(2).values(), false) > 1.0);
-        let (dist, at) = s.best_match(d.series(1).values(), false);
-        assert_eq!(dist, 0.0);
-        assert_eq!(at, 7);
+        let mut cache = DistCache::new();
+        assert_eq!(t.score(d.series(0).values(), &mut cache), vec![(0.0, 2)]);
+        assert!(t.score(d.series(2).values(), &mut cache)[0].0 > 1.0);
+        assert_eq!(t.score(d.series(1).values(), &mut cache), vec![(0.0, 7)]);
     }
 
     #[test]
@@ -212,12 +282,13 @@ mod tests {
 
     #[test]
     fn znorm_variant_is_scale_invariant() {
-        let s = Shapelet::new(vec![1.0, 2.0, 1.0, 0.0], 0);
+        let t = ShapeletTransform::new(vec![Shapelet::new(vec![1.0, 2.0, 1.0, 0.0], 0)], true);
         let series: Vec<f64> = vec![0.0, 10.0, 20.0, 10.0, 0.0, 0.0];
         let scaled: Vec<f64> = series.iter().map(|v| v * 3.0 + 5.0).collect();
-        let d1 = s.distance_to(&series, true);
-        let d2 = s.distance_to(&scaled, true);
+        let (d1, at1) = t.score(&series, &mut DistCache::new())[0];
+        let (d2, at2) = t.score(&scaled, &mut DistCache::new())[0];
         assert!((d1 - d2).abs() < 1e-9);
+        assert_eq!(at1, at2);
     }
 
     #[test]
@@ -233,6 +304,26 @@ mod tests {
         assert_eq!(s.class, 3);
         assert_eq!(s.source_instance, 7);
         assert_eq!(s.source_offset, 11);
+    }
+
+    /// Four 512-point noisy sine series (two per class) for the
+    /// long-series case. The noise matters: on smooth series the kernel
+    /// and the naive loop happen to round alike.
+    fn long_dataset() -> Dataset {
+        let series = |seed: u64| {
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let v = (0..512)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let noise = (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                    (i as f64 * 0.07 + seed as f64).sin() + 0.5 * noise
+                })
+                .collect();
+            TimeSeries::new(v)
+        };
+        Dataset::new((1..=4).map(series).collect(), vec![0, 0, 1, 1]).unwrap()
     }
 
     #[test]
@@ -261,6 +352,46 @@ mod tests {
         assert_eq!(t.transform_with_cache(&d, &mut cache), first);
         assert_eq!(cache.stats().kernel_evals, 2 * evals);
         assert_eq!(cache.stats().cache_hits, 0);
+
+        // Long series: at n = 512, `Auto` serves the z-normalized
+        // length-128 shapelet with the FFT kernel (the length-8 one stays
+        // on the naive loop). A fresh-cache transform, a shared-cache
+        // transform and the features `predict` hands the SVM are one
+        // scorer's output, bit for bit.
+        let long = long_dataset();
+        let source = long.series(0).values();
+        let t = ShapeletTransform::new(
+            vec![
+                Shapelet::new(source[40..168].to_vec(), 0),
+                Shapelet::new(long.series(2).values()[300..308].to_vec(), 1),
+            ],
+            true,
+        );
+        let plain = t.transform(&long);
+        let bits = |x: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            x.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let cached = t.transform_with_cache(&long, &mut DistCache::new());
+        assert_eq!(bits(&plain), bits(&cached));
+        let predict_rows: Vec<Vec<f64>> = long
+            .all_series()
+            .iter()
+            .map(|s| t.transform_one_with_cache(s, &mut DistCache::new()))
+            .collect();
+        assert_eq!(bits(&plain), bits(&predict_rows));
+        // The kernel really served the long shapelet: its column matches a
+        // kernel-only cache bit for bit.
+        let mut kernel = DistCache::with_policy(ips_distance::KernelPolicy::ForceKernel);
+        let forced = t.transform_with_cache(&long, &mut kernel);
+        let col = |x: &[Vec<f64>]| x.iter().map(|r| r[0].to_bits()).collect::<Vec<_>>();
+        assert_eq!(col(&plain), col(&forced));
+        // And the head predicts from exactly those features.
+        let head = ShapeletClassifier::fit(t, &plain, long.labels(), 7);
+        for (s, row) in long.all_series().iter().zip(&plain) {
+            assert_eq!(head.predict(s), head.svm().predict(row));
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use ips_classify::svm::SvmParams;
 use ips_classify::{accuracy, LinearSvm, OneNnEd, Shapelet, ShapeletTransform};
+use ips_distance::DistCache;
 use ips_tsdata::{Dataset, TimeSeries};
 use proptest::prelude::*;
 
@@ -32,7 +33,7 @@ proptest! {
         prop_assume!(off + len <= series.len());
         let shapelet = Shapelet::new(series[off..off + len].to_vec(), 0);
         let t = ShapeletTransform::new(vec![shapelet], false);
-        let d = t.transform_one(&TimeSeries::new(series.clone()));
+        let d = t.transform_one_with_cache(&TimeSeries::new(series.clone()), &mut DistCache::new());
         prop_assert_eq!(d.len(), 1);
         prop_assert!(d[0] >= 0.0);
         prop_assert!(d[0] < 1e-9, "own subsequence must match exactly: {}", d[0]);

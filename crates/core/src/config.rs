@@ -2,6 +2,7 @@
 
 use std::time::Duration;
 
+use ips_distance::KernelPolicy;
 use ips_filter::DabfConfig;
 use ips_lsh::LshParams;
 use ips_profile::Metric;
@@ -160,14 +161,13 @@ pub struct IpsConfig {
     /// scoring parallelize over pure per-class units — so this is purely
     /// a throughput knob. Default `1` (sequential).
     pub num_threads: usize,
-    /// Route exact utility scoring (and the classifier's shapelet
-    /// transform) through the FFT/MASS distance cache
-    /// (`ips_distance::DistCache`, which shares per-series plans across
-    /// requests). The cache's `Auto` crossover still
-    /// falls back to the naive early-abandoning loop for short
-    /// queries/series, so this is a throughput knob: selected shapelets
-    /// are identical either way (pinned by the engine equivalence suite).
-    /// Default `true`.
+    /// The kernel policy of the distance caches that exact utility
+    /// scoring and the classifier's training transform run through:
+    /// `true` is [`KernelPolicy::Auto`], whose crossover picks the
+    /// FFT/MASS kernel or the naive loop per request; `false` is
+    /// [`KernelPolicy::ForceNaive`]. Either way every distance goes
+    /// through the same caches and counters; selected shapelets are
+    /// identical (pinned by the engine equivalence suite). Default `true`.
     pub use_fft_kernel: bool,
     /// Work-item granularity for the engine's scheduler
     /// ([`crate::schedule`]): how many units (candidates, probes,
@@ -270,11 +270,14 @@ impl IpsConfig {
         self
     }
 
-    /// Toggles the FFT/MASS distance cache in exact scoring and the
-    /// shapelet transform.
-    pub fn with_fft_kernel(mut self, on: bool) -> Self {
-        self.use_fft_kernel = on;
-        self
+    /// The distance caches' kernel policy (see
+    /// [`use_fft_kernel`](Self::use_fft_kernel)).
+    pub(crate) fn kernel_policy(&self) -> KernelPolicy {
+        if self.use_fft_kernel {
+            KernelPolicy::Auto
+        } else {
+            KernelPolicy::ForceNaive
+        }
     }
 
     /// Builder-style override of the scheduler's work-item granularity.

@@ -113,16 +113,16 @@ pub struct StageCounters {
     /// Per-class filter membership queries issued (pruning stages).
     pub dabf_probes: usize,
     /// Utility evaluations: distance computations or rank/abs-dev queries
-    /// (selection stages). When the distance cache is active this counts
-    /// *requests*, so `utility_evals == kernel_evals + cache_hits`.
+    /// (selection stages). Exact scoring counts *requests*, so there
+    /// `utility_evals == kernel_evals + cache_hits`.
     pub utility_evals: usize,
     /// Sliding distances actually computed by the distance cache (misses,
-    /// served by the FFT kernel or the naive fallback). Zero when the
-    /// cache is off or the stage issues no sliding distances.
+    /// served by the FFT kernel or the naive loop). Zero when the stage
+    /// issues no sliding distances.
     pub kernel_evals: usize,
     /// Sliding-distance requests answered from an earlier request's
     /// distance: the duplicates exact scoring's request plan dropped
-    /// before any shard computed them. Zero when the cache is off.
+    /// before any shard computed them.
     pub cache_hits: usize,
     /// Kernel evaluations that degraded to the naive scorer (non-finite
     /// input or an injected kernel failure). Always a subset of
@@ -1091,9 +1091,8 @@ impl UtilitySelector {
 
     /// Exact scoring of one batch of classes: record → compute
     /// (scheduled) → replay. Each class's shards fold into the run cache
-    /// in class order; their counters and the plan's duplicates (when the
-    /// cache is on) accumulate into `stats`. Returns `score_exact_replay`'s
-    /// output per class.
+    /// in class order; their counters and the plan's duplicates accumulate
+    /// into `stats`. Returns `score_exact_replay`'s output per class.
     fn score_exact_batch(
         &self,
         pool: &CandidatePool,
@@ -1105,22 +1104,22 @@ impl UtilitySelector {
         // Each work item draws its sliding distances from a *fresh* cache
         // shard (not the shared run cache), so counters are identical at
         // every thread count.
-        let use_cache = self.config.use_fft_kernel;
         let inject_kernel = ctx.faults().kernel_error;
+        // The kernel fault forces the kernel *path* too (ForceKernel):
+        // under the Auto crossover small inputs would never attempt the
+        // FFT and the injected failure would be vacuous. Every eval then
+        // attempts the kernel, fails, and must degrade cleanly.
+        let policy = if inject_kernel {
+            ips_distance::KernelPolicy::ForceKernel
+        } else {
+            self.config.kernel_policy()
+        };
         let make_cache = || {
-            // The kernel fault forces the kernel *path* too (ForceKernel):
-            // under the Auto crossover small inputs would never attempt the
-            // FFT and the injected failure would be vacuous. Every eval
-            // then attempts the kernel, fails, and must degrade cleanly.
-            use_cache.then(|| {
-                if inject_kernel {
-                    let mut cache = DistCache::with_policy(ips_distance::KernelPolicy::ForceKernel);
-                    cache.inject_kernel_failure();
-                    cache
-                } else {
-                    DistCache::new()
-                }
-            })
+            let mut cache = DistCache::with_policy(policy);
+            if inject_kernel {
+                cache.inject_kernel_failure();
+            }
+            cache
         };
         let plans: Vec<ClassRequests> = classes
             .iter()
@@ -1134,7 +1133,7 @@ impl UtilitySelector {
             let mut cache = make_cache();
             let dists: Vec<f64> = plans[item.class_idx].unique[item.start..item.end]
                 .iter()
-                .map(|r| r.resolve(metric, cache.as_mut()))
+                .map(|r| r.resolve(metric, &mut cache))
                 .collect();
             (dists, cache)
         });
@@ -1145,15 +1144,11 @@ impl UtilitySelector {
             let mut unique_dists = Vec::with_capacity(plan.unique.len());
             for (dists, shard) in chunks {
                 unique_dists.extend(dists);
-                if let Some(shard) = shard {
-                    stats.merge(&shard.stats());
-                    ctx.scratch().absorb_dist_cache(shard);
-                }
+                stats.merge(&shard.stats());
+                ctx.scratch().absorb_dist_cache(shard);
             }
-            if use_cache {
-                // Repeats answered from an earlier request's distance.
-                stats.cache_hits += plan.duplicate_requests();
-            }
+            // Repeats answered from an earlier request's distance.
+            stats.cache_hits += plan.duplicate_requests();
             out.push(score_exact_replay(
                 pool,
                 train,

@@ -1,13 +1,19 @@
 //! Prediction explanation — the interpretability payoff of shapelets
 //! (Section IV-D): for any prediction, report *which shapelet matched
-//! where* and how much each feature pushed the decision.
+//! where*.
+//!
+//! The matches come from the scorer the prediction itself runs
+//! ([`ShapeletTransform::score`](ips_classify::ShapeletTransform::score)),
+//! so each reported distance is the feature the SVM saw, bit for bit,
+//! under the model's own metric (z-normalized or raw), and each offset is
+//! where that distance was attained. How much each feature moved the
+//! SVM's decision (a weight × feature contribution) is not computed.
 
-use ips_classify::Shapelet;
+use ips_classify::ShapeletClassifier;
+use ips_distance::DistCache;
 use ips_tsdata::TimeSeries;
 
-use crate::pipeline::IpsClassifier;
-
-/// One shapelet's contribution to a prediction.
+/// One shapelet's match in an explained series.
 #[derive(Debug, Clone)]
 pub struct MatchExplanation {
     /// Index of the shapelet in the transform.
@@ -16,7 +22,8 @@ pub struct MatchExplanation {
     pub shapelet_class: u32,
     /// Distance from the shapelet to the series (the feature value).
     pub distance: f64,
-    /// Offset of the best-matching window in the series.
+    /// Offset of the best-matching window in the series (for a shapelet
+    /// longer than the series, of the series within the shapelet).
     pub match_offset: usize,
     /// Length of the shapelet (= matched window length).
     pub length: usize,
@@ -28,7 +35,7 @@ pub struct Explanation {
     /// The predicted label.
     pub predicted: u32,
     /// Per-shapelet match details, ordered by ascending distance (the
-    /// closest — most influential — matches first).
+    /// closest matches first).
     pub matches: Vec<MatchExplanation>,
 }
 
@@ -47,30 +54,30 @@ impl Explanation {
     }
 }
 
-/// Explains one prediction of a fitted [`IpsClassifier`].
-pub fn explain_prediction(model: &IpsClassifier, series: &TimeSeries) -> Explanation {
-    let predicted = model.predict(series);
-    let znorm = true; // transform distances are znorm by pipeline default
+/// Explains one prediction of a fitted shapelet classifier (an
+/// `IpsClassifier`, a baseline, or a served model): one scoring pass
+/// yields both the features the SVM predicts from and every shapelet's
+/// best-match offset.
+pub fn explain_prediction(model: &ShapeletClassifier, series: &TimeSeries) -> Explanation {
+    let scores = model
+        .transform()
+        .score(series.values(), &mut DistCache::new());
+    let features: Vec<f64> = scores.iter().map(|&(d, _)| d).collect();
+    let predicted = model.svm().predict(&features);
     let mut matches: Vec<MatchExplanation> = model
         .shapelets()
         .iter()
+        .zip(scores)
         .enumerate()
-        .map(|(i, s): (usize, &Shapelet)| {
-            let (distance, match_offset) = s.best_match(series.values(), znorm);
-            MatchExplanation {
-                shapelet_index: i,
-                shapelet_class: s.class,
-                distance,
-                match_offset,
-                length: s.len(),
-            }
+        .map(|(i, (s, (distance, match_offset)))| MatchExplanation {
+            shapelet_index: i,
+            shapelet_class: s.class,
+            distance,
+            match_offset,
+            length: s.len(),
         })
         .collect();
-    matches.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite distances")
-    });
+    matches.sort_by(|a, b| a.distance.total_cmp(&b.distance));
     Explanation { predicted, matches }
 }
 
@@ -134,6 +141,8 @@ fn coarse(values: &[f64], width: usize) -> String {
 mod tests {
     use super::*;
     use crate::config::IpsConfig;
+    use crate::pipeline::IpsClassifier;
+    use ips_distance::{dist_profile, dist_profile_znorm};
     use ips_tsdata::registry;
 
     fn model() -> (IpsClassifier, ips_tsdata::Dataset) {
@@ -144,24 +153,48 @@ mod tests {
 
     #[test]
     fn explanation_is_consistent_with_prediction_and_transform() {
-        let (model, test) = model();
-        for i in 0..5 {
-            let s = test.series(i);
-            let e = explain_prediction(&model, s);
-            assert_eq!(e.predicted, model.predict(s));
-            assert_eq!(e.matches.len(), model.shapelets().len());
-            // distances ascend
-            for w in e.matches.windows(2) {
-                assert!(w[0].distance <= w[1].distance + 1e-12);
-            }
-            // match offsets are in range
-            for m in &e.matches {
-                assert!(m.match_offset + m.length <= s.len());
-            }
-            // the reported distance equals the transform feature
-            let feats = model.transform().transform_one(s);
-            for m in &e.matches {
-                assert!((feats[m.shapelet_index] - m.distance).abs() < 1e-12);
+        let (train, test) = registry::load("ItalyPowerDemand").unwrap();
+        for znorm in [true, false] {
+            let mut cfg = IpsConfig::default().with_sampling(6, 4);
+            cfg.znorm_transform = znorm;
+            let model = IpsClassifier::fit(&train, cfg).unwrap();
+            for s in test.all_series().iter().take(8) {
+                let e = explain_prediction(&model, s);
+                assert_eq!(e.predicted, model.predict(s), "znorm={znorm}");
+                assert_eq!(e.matches.len(), model.shapelets().len());
+                for w in e.matches.windows(2) {
+                    assert!(w[0].distance <= w[1].distance);
+                }
+                // Each distance is the feature predict hands the SVM, bit
+                // for bit, and each offset attains the window minimum.
+                let features = model
+                    .transform()
+                    .transform_one_with_cache(s, &mut DistCache::new());
+                for m in &e.matches {
+                    let tag = format!("znorm={znorm} shapelet {}", m.shapelet_index);
+                    let feature = features[m.shapelet_index];
+                    assert_eq!(m.distance.to_bits(), feature.to_bits(), "{tag}");
+                    let q = &model.shapelets()[m.shapelet_index].values;
+                    let profile: Vec<f64> = if znorm {
+                        let len = q.len() as f64;
+                        dist_profile_znorm(q, s.values())
+                            .iter()
+                            .map(|d| d * d / len)
+                            .collect()
+                    } else {
+                        dist_profile(q, s.values())
+                    };
+                    assert!(m.match_offset + m.length <= s.len(), "{tag}");
+                    let best = profile.iter().copied().fold(f64::INFINITY, f64::min);
+                    let at = profile[m.match_offset];
+                    let tol = 1e-9 * (1.0 + best.abs());
+                    assert!((at - best).abs() <= tol, "{tag}: {at} vs min {best}");
+                    assert!(
+                        (at - m.distance).abs() <= tol,
+                        "{tag}: {at} vs {}",
+                        m.distance
+                    );
+                }
             }
         }
     }

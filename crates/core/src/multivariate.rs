@@ -5,6 +5,7 @@
 
 use ips_classify::svm::SvmParams;
 use ips_classify::{LinearSvm, ShapeletTransform};
+use ips_distance::DistCache;
 use ips_tsdata::{Dataset, TimeSeries};
 
 use crate::config::IpsConfig;
@@ -135,8 +136,9 @@ impl MultivariateIps {
             "dimension count mismatch"
         );
         let mut features = Vec::new();
+        let mut cache = DistCache::new();
         for (t, s) in self.transforms.iter().zip(series) {
-            features.extend(t.transform_one(s));
+            features.extend(t.transform_one_with_cache(s, &mut cache));
         }
         self.svm.predict(&features)
     }

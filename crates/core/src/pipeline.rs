@@ -2,12 +2,12 @@
 //! shapelet-transform + linear-SVM classifier of Section III-E.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 
-use ips_classify::svm::SvmParams;
-use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
-use ips_distance::{DistCache, Metric};
+use ips_classify::{Shapelet, ShapeletClassifier, ShapeletTransform};
+use ips_distance::{DistCache, Metric, SliceKey};
 use ips_obs::{MetricsSnapshot, RunRecord};
-use ips_tsdata::{Dataset, TimeSeries};
+use ips_tsdata::Dataset;
 
 use crate::config::IpsConfig;
 use crate::engine::{Engine, RunReport};
@@ -60,12 +60,20 @@ impl DiscoveryStats {
 }
 
 /// The full classifier: IPS shapelet discovery → shapelet transform →
-/// linear SVM.
+/// linear SVM. It predicts through its [`ShapeletClassifier`] head
+/// (`predict`, `accuracy`, `shapelets`, `transform`, `svm`).
 #[derive(Debug, Clone)]
 pub struct IpsClassifier {
-    transform: ShapeletTransform,
-    svm: LinearSvm,
+    head: ShapeletClassifier,
     discovery: DiscoveryStats,
+}
+
+impl Deref for IpsClassifier {
+    type Target = ShapeletClassifier;
+
+    fn deref(&self) -> &ShapeletClassifier {
+        &self.head
+    }
 }
 
 impl IpsClassifier {
@@ -95,10 +103,6 @@ impl IpsClassifier {
             )));
         }
         let znorm = config.znorm_transform;
-        let svm_params = SvmParams {
-            seed: config.seed,
-            ..SvmParams::default()
-        };
         let engine = Engine::from_config(&config);
         let mut ctx = engine.make_context();
         let mut result = engine.run_with_ctx(train, &mut ctx)?;
@@ -112,32 +116,29 @@ impl IpsClassifier {
         let transform = ShapeletTransform::new(shapelets, znorm);
         let features = {
             let _span = metrics.time("fit.transform");
-            if config.use_fft_kernel {
-                // Reuse discovery's distance work: the run cache carries
-                // the training series' plans (window statistics, FFT
-                // spectra), and scoring already computed every (shapelet,
-                // own-class instance) feature unless its metric differs.
-                if (config.metric == Metric::ZNormEuclidean) != znorm {
-                    result.own_class_dists.clear();
-                }
-                let own = &result.own_class_dists;
-                let mut cache = ctx.take_dist_cache();
-                let (features, reused) = train_features(&transform, train, own, &mut cache);
-                // The fit's distance work over discovery + transform: the
-                // distances computed (the run cache counts every one) and
-                // the requests answered from a distance computed earlier
-                // (exact scoring's duplicates and the reused features).
-                let mut stats = cache.stats();
-                stats.cache_hits += reused + result.report.counters().cache_hits;
-                stats.record_into(&metrics, "cache.");
-                features
-            } else {
-                transform.transform(train)
+            // Reuse discovery's distance work: the run cache carries the
+            // training series' plans (window statistics, FFT spectra),
+            // and scoring already computed every (shapelet, own-class
+            // instance) feature unless its metric differs.
+            if (config.metric == Metric::ZNormEuclidean) != znorm {
+                result.own_class_dists.clear();
             }
+            let own = &result.own_class_dists;
+            let mut cache = DistCache::with_policy(config.kernel_policy());
+            cache.absorb(ctx.take_dist_cache());
+            let (features, reused) = train_features(&transform, train, own, &mut cache);
+            // The fit's distance work over discovery + transform: the
+            // distances computed (the run cache counts every one) and the
+            // requests answered from a distance computed earlier (exact
+            // scoring's duplicates and the reused features).
+            let mut stats = cache.stats();
+            stats.cache_hits += reused + result.report.counters().cache_hits;
+            stats.record_into(&metrics, "cache.");
+            features
         };
-        let svm = {
+        let head = {
             let _span = metrics.time("fit.svm");
-            LinearSvm::fit(&features, train.labels(), svm_params)
+            ShapeletClassifier::fit(transform, &features, train.labels(), config.seed)
         };
         metrics.incr(
             "discovery.candidates_generated",
@@ -152,46 +153,12 @@ impl IpsClassifier {
             report: result.report,
             metrics: metrics.snapshot(),
         };
-        Ok(Self {
-            transform,
-            svm,
-            discovery,
-        })
-    }
-
-    /// Predicts the label of one series.
-    pub fn predict(&self, series: &TimeSeries) -> u32 {
-        self.svm.predict(&self.transform.transform_one(series))
-    }
-
-    /// Predicts a whole test set.
-    pub fn predict_all(&self, test: &Dataset) -> Vec<u32> {
-        test.all_series().iter().map(|s| self.predict(s)).collect()
-    }
-
-    /// Accuracy on a test set.
-    pub fn accuracy(&self, test: &Dataset) -> f64 {
-        ips_classify::eval::accuracy(&self.predict_all(test), test.labels())
-    }
-
-    /// The discovered shapelets.
-    pub fn shapelets(&self) -> &[Shapelet] {
-        self.transform.shapelets()
+        Ok(Self { head, discovery })
     }
 
     /// Discovery metadata (the run report, fit metrics, degradation flag).
     pub fn discovery(&self) -> &DiscoveryStats {
         &self.discovery
-    }
-
-    /// The shapelet transform (for inspecting embeddings).
-    pub fn transform(&self) -> &ShapeletTransform {
-        &self.transform
-    }
-
-    /// The trained linear SVM head (for persistence and inspection).
-    pub fn svm(&self) -> &LinearSvm {
-        &self.svm
     }
 }
 
@@ -211,13 +178,14 @@ fn train_features(
     for (series, &label) in train.all_series().iter().zip(train.labels()) {
         // The series' position within its class.
         let pos = *class_pos.entry(label).and_modify(|p| *p += 1).or_default();
+        let key = SliceKey::of(series.values());
         let row = transform.shapelets().iter().enumerate().map(|(j, s)| {
             let known = own
                 .get(j)
                 .filter(|_| s.class == label)
                 .and_then(|d| d.get(pos));
             reused += usize::from(known.is_some());
-            let compute = || s.distance_to_cached(series.values(), transform.znorm(), cache);
+            let compute = || transform.score_keyed(s, series.values(), key, cache).0;
             known.copied().unwrap_or_else(compute)
         });
         features.push(row.collect());

@@ -51,8 +51,7 @@ pub fn score_exact(
 }
 
 /// One sliding-distance request through the shared vectorized naive
-/// loops — what [`score_exact`] and a cacheless [`KeyedRequest::resolve`]
-/// compute.
+/// loops — what the reference scorer [`score_exact`] computes.
 fn compute_min_dist(a: &[f64], b: &[f64], metric: Metric) -> f64 {
     match metric {
         Metric::MeanSquared => sliding_min_dist(a, b).0,
@@ -152,15 +151,13 @@ pub(crate) struct KeyedRequest<'a> {
 }
 
 impl KeyedRequest<'_> {
-    /// The request's distance, through `cache` when one is supplied (by
-    /// series key: no content hashing) or the plain vectorized loops —
-    /// the same values [`score_exact`] computes for `(q, s)` up to the
-    /// cache's kernel choice.
-    pub fn resolve(&self, metric: Metric, cache: Option<&mut DistCache>) -> f64 {
-        match cache {
-            Some(c) => c.min_dist_keyed(self.series_key, self.q, self.s, metric).0,
-            None => compute_min_dist(self.q, self.s, metric),
-        }
+    /// The request's distance through `cache`, by series key (no content
+    /// hashing) — the value [`score_exact`] computes for `(q, s)` up to
+    /// the cache's kernel choice.
+    pub fn resolve(&self, metric: Metric, cache: &mut DistCache) -> f64 {
+        cache
+            .min_dist_keyed(self.series_key, self.q, self.s, metric)
+            .0
     }
 }
 
@@ -582,7 +579,7 @@ mod tests {
             let dists: Vec<f64> = plan
                 .unique
                 .iter()
-                .map(|r| r.resolve(cfg.metric, Some(&mut cache)))
+                .map(|r| r.resolve(cfg.metric, &mut cache))
                 .collect();
             unique_total += dists.len();
             let (forced, requests, own) =

@@ -15,13 +15,12 @@
 //! - a version this reader does not speak →
 //!   [`IpsError::Record`]([`ObsError::SchemaVersion`]).
 
+use std::ops::Deref;
 use std::path::Path;
 
-use ips_classify::{LinearSvm, Shapelet, ShapeletTransform};
+use ips_classify::{LinearSvm, Shapelet, ShapeletClassifier, ShapeletTransform};
 use ips_core::{IpsClassifier, IpsError};
-use ips_distance::DistCache;
 use ips_obs::{Json, ObsError};
-use ips_tsdata::TimeSeries;
 
 /// The on-disk model schema version. Bump on any change to the serialized
 /// layout and update the loader (plus committed fixtures) in the same PR.
@@ -30,15 +29,23 @@ pub const MODEL_SCHEMA_VERSION: u32 = 1;
 /// The `kind` discriminator stamped into every model document.
 pub const MODEL_KIND: &str = "ips_model";
 
-/// A fitted model reduced to what serving needs: the shapelet transform
-/// and the SVM head, under a registry name. Discovery telemetry is
-/// deliberately left behind — it belongs to the training run, not the
+/// A fitted model reduced to what serving needs: its
+/// [`ShapeletClassifier`] head (shapelet transform and SVM, with their
+/// accessors and `predict*`), under a registry name. Discovery telemetry
+/// is deliberately left behind — it belongs to the training run, not the
 /// artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServableModel {
     name: String,
-    transform: ShapeletTransform,
-    svm: LinearSvm,
+    head: ShapeletClassifier,
+}
+
+impl Deref for ServableModel {
+    type Target = ShapeletClassifier;
+
+    fn deref(&self) -> &ShapeletClassifier {
+        &self.head
+    }
 }
 
 impl ServableModel {
@@ -64,8 +71,7 @@ impl ServableModel {
         }
         let model = Self {
             name,
-            transform,
-            svm,
+            head: ShapeletClassifier::new(transform, svm),
         };
         model.check_finite()?;
         Ok(model)
@@ -84,40 +90,20 @@ impl ServableModel {
         &self.name
     }
 
-    /// The shapelet transform.
-    pub fn transform(&self) -> &ShapeletTransform {
-        &self.transform
-    }
-
-    /// The SVM head.
-    pub fn svm(&self) -> &LinearSvm {
-        &self.svm
-    }
-
     /// Length of the longest shapelet — the natural minimum window length
     /// for full-fidelity matches (shorter windows still score: the
     /// sliding distance handles them symmetrically).
     pub fn max_shapelet_len(&self) -> usize {
-        self.transform
-            .shapelets()
+        self.shapelets()
             .iter()
             .map(Shapelet::len)
             .max()
             .unwrap_or(0)
     }
 
-    /// Classifies one window through a distance cache. This is *the*
-    /// scoring path — batch and single-request serving both route here,
-    /// which is what makes their results bit-identical.
-    pub fn predict(&self, series: &TimeSeries, cache: &mut DistCache) -> u32 {
-        self.svm
-            .predict(&self.transform.transform_one_with_cache(series, cache))
-    }
-
     /// Serializes as a JSON value under [`MODEL_SCHEMA_VERSION`].
     pub fn to_json(&self) -> Json {
         let shapelets: Vec<Json> = self
-            .transform
             .shapelets()
             .iter()
             .map(|s| {
@@ -137,19 +123,20 @@ impl ServableModel {
                 obj
             })
             .collect();
+        let head = self.svm();
         let mut svm = Json::object();
-        svm.insert("classes", self.svm.classes().to_vec());
+        svm.insert("classes", head.classes().to_vec());
         svm.insert(
             "weights",
-            Json::Arr(self.svm.weights().iter().cloned().map(Json::from).collect()),
+            Json::Arr(head.weights().iter().cloned().map(Json::from).collect()),
         );
-        svm.insert("means", self.svm.means().to_vec());
-        svm.insert("stds", self.svm.stds().to_vec());
+        svm.insert("means", head.means().to_vec());
+        svm.insert("stds", head.stds().to_vec());
         let mut obj = Json::object();
         obj.insert("schema_version", u64::from(MODEL_SCHEMA_VERSION));
         obj.insert("kind", MODEL_KIND);
         obj.insert("name", self.name.clone());
-        obj.insert("znorm", self.transform.znorm());
+        obj.insert("znorm", self.transform().znorm());
         obj.insert("shapelets", Json::Arr(shapelets));
         obj.insert("svm", svm);
         obj
@@ -253,7 +240,7 @@ impl ServableModel {
     }
 
     fn check_finite(&self) -> Result<(), IpsError> {
-        for (i, s) in self.transform.shapelets().iter().enumerate() {
+        for (i, s) in self.shapelets().iter().enumerate() {
             if !s.values.iter().all(|v| v.is_finite()) || !s.score.is_finite() {
                 return Err(malformed(format!(
                     "shapelet {i} holds a non-finite value (unrepresentable in JSON)"
@@ -263,9 +250,9 @@ impl ServableModel {
         // `LinearSvm::from_parts` already rejects non-finite parameters;
         // a *trained* SVM can still carry them if training diverged.
         let finite = |xs: &[f64]| xs.iter().all(|v| v.is_finite());
-        if !self.svm.weights().iter().all(|w| finite(w))
-            || !finite(self.svm.means())
-            || !finite(self.svm.stds())
+        if !self.svm().weights().iter().all(|w| finite(w))
+            || !finite(self.svm().means())
+            || !finite(self.svm().stds())
         {
             return Err(malformed(
                 "SVM holds a non-finite parameter (unrepresentable in JSON)",
@@ -366,6 +353,8 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<ServableModel, IpsError> {
 mod tests {
     use super::*;
     use ips_classify::svm::SvmParams;
+    use ips_distance::DistCache;
+    use ips_tsdata::TimeSeries;
 
     fn tiny_model(name: &str) -> ServableModel {
         let shapelets = vec![
@@ -412,8 +401,8 @@ mod tests {
             back.transform().transform_one_with_cache(&probe, &mut c2),
         );
         assert_eq!(
-            model.predict(&probe, &mut c1),
-            back.predict(&probe, &mut c2)
+            model.predict_with_cache(&probe, &mut c1),
+            back.predict_with_cache(&probe, &mut c2)
         );
     }
 

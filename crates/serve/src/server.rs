@@ -12,7 +12,9 @@
 //! thread calling [`IpsServer::flush`] scores as worker 0.
 //!
 //! **Determinism contract** (DESIGN.md §14): every scoring path routes
-//! through [`ServableModel::predict`] on a [`DistCache`]. The cache keeps
+//! through the model head's one scorer
+//! ([`ShapeletTransform::score`](ips_classify::ShapeletTransform::score))
+//! on a [`DistCache`]. The cache keeps
 //! only per-series plans, keyed by content, and picks the kernel
 //! deterministically from the request's shape, so a distance computed
 //! through a shared plan equals a fresh computation's — which requests
@@ -227,7 +229,10 @@ impl IpsServer {
                     .iter()
                     .map(|&qi| {
                         let series = TimeSeries::new(batch[qi].window.clone());
-                        (qi, models[item.class_idx].predict(&series, &mut cache))
+                        (
+                            qi,
+                            models[item.class_idx].predict_with_cache(&series, &mut cache),
+                        )
                     })
                     .collect();
                 (labels, cache.stats())
@@ -265,8 +270,7 @@ impl IpsServer {
     pub fn classify_now(&self, request: &ClassifyRequest) -> Result<ClassifyResponse, IpsError> {
         let model = self.lookup(request)?;
         let _span = self.ctx.metrics().time("serve.single");
-        let mut cache = DistCache::new();
-        let label = model.predict(&TimeSeries::new(request.window.clone()), &mut cache);
+        let label = model.predict(&TimeSeries::new(request.window.clone()));
         self.ctx.metrics().incr("serve.singles", 1);
         Ok(ClassifyResponse {
             id: request.id,

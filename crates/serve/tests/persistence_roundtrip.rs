@@ -37,12 +37,13 @@ fn save_load_transform_is_bit_identical_to_in_memory() {
     assert_eq!(loaded.transform(), model.transform());
     // Bit-identity of behavior, not just structure: the loaded transform
     // produces the exact embedding of the in-memory one on every test
-    // series — both uncached and through the cache path serving uses.
+    // series — over the whole set, and one series at a time through the
+    // cache path serving uses.
+    assert_eq!(
+        loaded.transform().transform(&test),
+        model.transform().transform(&test),
+    );
     for series in test.all_series() {
-        assert_eq!(
-            loaded.transform().transform_one(series),
-            model.transform().transform_one(series),
-        );
         let mut c1 = DistCache::new();
         let mut c2 = DistCache::new();
         assert_eq!(
@@ -53,7 +54,24 @@ fn save_load_transform_is_bit_identical_to_in_memory() {
     // And the decision function agrees everywhere.
     for series in test.all_series() {
         let mut cache = DistCache::new();
-        assert_eq!(loaded.predict(series, &mut cache), model.predict(series));
+        assert_eq!(
+            loaded.predict_with_cache(series, &mut cache),
+            model.predict(series)
+        );
+        // A served model explains its predictions exactly as the fitted
+        // one does: same label, same matches, same bits.
+        let view = |e: ips_core::Explanation| {
+            let matches: Vec<_> = e
+                .matches
+                .iter()
+                .map(|m| (m.shapelet_index, m.distance.to_bits(), m.match_offset))
+                .collect();
+            (e.predicted, matches)
+        };
+        assert_eq!(
+            view(ips_core::explain_prediction(&loaded, series)),
+            view(ips_core::explain_prediction(&model, series))
+        );
     }
 }
 

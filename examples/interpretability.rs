@@ -10,6 +10,7 @@
 //! cargo run --release --example interpretability
 //! ```
 
+use ips::distance::DistCache;
 use ips::prelude::*;
 use ips::sparkline;
 use ips::tsdata::TimeSeries;
@@ -53,12 +54,15 @@ fn main() {
         },
     );
 
-    for (label, shapelets) in [
-        ("IPS", ips_model.shapelets()),
-        ("BSPCOVER*", bsp.shapelets()),
-    ] {
+    for (label, model) in [("IPS", &*ips_model), ("BSPCOVER*", &*bsp)] {
         println!("\n{label} shapelets:");
-        for s in shapelets {
+        // Each class mean scored by the model's own scorer and metric.
+        let mut cache = DistCache::new();
+        let vs: Vec<Vec<(f64, usize)>> = means
+            .iter()
+            .map(|(_, m)| model.transform().score(m.values(), &mut cache))
+            .collect();
+        for (j, s) in model.shapelets().iter().enumerate() {
             println!(
                 "  class {} (len {}, source instance {} @ {}):",
                 s.class,
@@ -67,8 +71,8 @@ fn main() {
                 s.source_offset
             );
             println!("    shape: {}", sparkline(&s.values));
-            for (c, m) in &means {
-                let (dist, at) = s.best_match(m.values(), true);
+            for ((c, _), row) in means.iter().zip(&vs) {
+                let (dist, at) = row[j];
                 println!("    vs class-{c} mean: best match @ hour {at:>2}, distance {dist:.3}");
             }
         }

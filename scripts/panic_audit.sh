@@ -15,8 +15,10 @@ AUDITED_FILES=(
     crates/bench/src/bin/bench_grid.rs
     crates/bench/src/bin/bench_scaling.rs
     crates/bench/src/bin/bench_serve.rs
+    crates/classify/src/transform.rs
     crates/core/src/candidates.rs
     crates/core/src/engine.rs
+    crates/core/src/explain.rs
     crates/core/src/pipeline.rs
     crates/core/src/pool.rs
     crates/core/src/sampling.rs

@@ -3,6 +3,7 @@
 //! classify together.
 
 use ips::core::{Engine, IpsClassifier, IpsConfig};
+use ips::distance::DistCache;
 use ips::prelude::*;
 use ips::profile::Metric;
 
@@ -110,10 +111,19 @@ fn transform_features_match_shapelet_distances() {
     let (train, _) = registry::load("SonyAIBORobotSurface2").expect("registry dataset");
     let model = IpsClassifier::fit(&train, fast_cfg()).expect("fit");
     let t = model.transform();
-    let x = t.transform_one(train.series(0));
+    let series = train.series(0);
+    let x = t.transform_one_with_cache(series, &mut DistCache::new());
     assert_eq!(x.len(), t.dim());
+    // each feature is the shapelet's sliding distance under the model's
+    // own metric
+    let metric = if t.znorm() {
+        Metric::ZNormEuclidean
+    } else {
+        Metric::MeanSquared
+    };
+    let mut cache = DistCache::new();
     for (f, s) in x.iter().zip(t.shapelets()) {
-        let d = s.distance_to(train.series(0).values(), true);
-        assert!((f - d).abs() < 1e-12);
+        let d = cache.min_dist(&s.values, series.values(), metric).0;
+        assert_eq!(f.to_bits(), d.to_bits());
     }
 }

@@ -10,9 +10,11 @@
 //!
 //! Every distance between a shapelet and a series — a fit's features, a
 //! prediction, a served request, an explanation's best match — comes from
-//! one scorer, [`ShapeletTransform::score`], through a [`DistCache`].
+//! one scorer, [`ShapeletTransform::score`], through a [`DistCache`]. The
+//! transform prepares its shapelets when it is built (at the end of a fit,
+//! at model load), so the scorer only computes the series' side.
 
-use ips_distance::{DistCache, Metric, SliceKey};
+use ips_distance::{DistCache, Metric, QuerySet, SliceKey};
 use ips_tsdata::{Dataset, TimeSeries};
 
 use crate::svm::{LinearSvm, SvmParams};
@@ -58,10 +60,18 @@ impl Shapelet {
     }
 }
 
+impl AsRef<[f64]> for Shapelet {
+    fn as_ref(&self) -> &[f64] {
+        &self.values
+    }
+}
+
 /// The shapelet transform: a fixed set of shapelets defining an embedding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShapeletTransform {
-    shapelets: Vec<Shapelet>,
+    /// The shapelets, prepared for scoring: each one's z-norm moments and
+    /// the same-length groups.
+    shapelets: QuerySet<Shapelet>,
     /// Whether distances are computed under z-normalization.
     znorm: bool,
 }
@@ -76,17 +86,20 @@ impl ShapeletTransform {
             "transform needs at least one shapelet"
         );
         assert!(shapelets.iter().all(|s| !s.is_empty()), "empty shapelet");
-        Self { shapelets, znorm }
+        Self {
+            shapelets: QuerySet::new(shapelets),
+            znorm,
+        }
     }
 
     /// The shapelets, in embedding order.
     pub fn shapelets(&self) -> &[Shapelet] {
-        &self.shapelets
+        self.shapelets.queries()
     }
 
     /// Embedding dimension `|S|`.
     pub fn dim(&self) -> usize {
-        self.shapelets.len()
+        self.shapelets.queries().len()
     }
 
     /// Whether distances are computed under z-normalization.
@@ -94,24 +107,31 @@ impl ShapeletTransform {
         self.znorm
     }
 
-    /// The scorer: every shapelet's `(distance, best-match offset)`
-    /// against `series`, in embedding order, drawn from `cache` (which
-    /// keeps the series' plan for every shapelet of the row, and across
-    /// rows when the series repeats). The series is content-hashed once
-    /// for the whole row. The offset indexes `series`, except for a
-    /// shapelet longer than the series, where the series slides over the
-    /// shapelet and the offset indexes the shapelet.
-    pub fn score(&self, series: &[f64], cache: &mut DistCache) -> Vec<(f64, usize)> {
-        let key = SliceKey::of(series);
-        self.shapelets
-            .iter()
-            .map(|s| self.score_keyed(s, series, key, cache))
-            .collect()
+    fn metric(&self) -> Metric {
+        if self.znorm {
+            Metric::ZNormEuclidean
+        } else {
+            Metric::MeanSquared
+        }
     }
 
-    /// One entry of [`score`](Self::score): `shapelet` against `series`
-    /// under this transform's metric, for a caller that holds `key`
-    /// (= [`SliceKey::of`]`(series)`) and needs only part of a row.
+    /// The scorer: every shapelet's `(distance, best-match offset)`
+    /// against `series`, in embedding order, through
+    /// [`DistCache::min_dists`] — one window-statistics pass shared by
+    /// every shapelet the naive loop serves, with the shapelets' moments
+    /// prepared at construction; `cache` keeps the series' plan for the
+    /// shapelets the FFT kernel serves. The offset indexes `series`,
+    /// except for a shapelet longer than the series, where the series
+    /// slides over the shapelet and the offset indexes the shapelet.
+    pub fn score(&self, series: &[f64], cache: &mut DistCache) -> Vec<(f64, usize)> {
+        cache.min_dists(&self.shapelets, series, self.metric())
+    }
+
+    /// One entry of [`score`](Self::score), with the same bits:
+    /// `shapelet` against `series` under this transform's metric, through
+    /// the series plan `cache` keeps under `key` (= [`SliceKey::of`]`(series)`),
+    /// for a caller that needs only part of a row and scores each series
+    /// through a cache that already holds its plan (a fit's training rows).
     pub fn score_keyed(
         &self,
         shapelet: &Shapelet,
@@ -119,15 +139,10 @@ impl ShapeletTransform {
         key: SliceKey,
         cache: &mut DistCache,
     ) -> (f64, usize) {
-        let metric = if self.znorm {
-            Metric::ZNormEuclidean
-        } else {
-            Metric::MeanSquared
-        };
         if shapelet.len() <= series.len() {
-            cache.min_dist_keyed(key, &shapelet.values, series, metric)
+            cache.min_dist_keyed(key, &shapelet.values, series, self.metric())
         } else {
-            cache.min_dist(&shapelet.values, series, metric)
+            cache.min_dist(&shapelet.values, series, self.metric())
         }
     }
 
@@ -202,17 +217,23 @@ impl ShapeletClassifier {
         self.transform.shapelets()
     }
 
-    /// Predicts one series through `cache` (a server shares one across a
-    /// work item's requests).
-    pub fn predict_with_cache(&self, series: &TimeSeries, cache: &mut DistCache) -> u32 {
-        self.svm
-            .predict(&self.transform.transform_one_with_cache(series, cache))
+    /// Predicts the series `values` through `cache` (a server shares one
+    /// across a work item's requests and scores each request's window in
+    /// place).
+    pub fn predict_with_cache(&self, values: &[f64], cache: &mut DistCache) -> u32 {
+        let features: Vec<f64> = self
+            .transform
+            .score(values, cache)
+            .into_iter()
+            .map(|(d, _)| d)
+            .collect();
+        self.svm.predict(&features)
     }
 
     /// Predicts one series through a fresh cache, so memory stays bounded
     /// however many series are predicted.
     pub fn predict(&self, series: &TimeSeries) -> u32 {
-        self.predict_with_cache(series, &mut DistCache::new())
+        self.predict_with_cache(series.values(), &mut DistCache::new())
     }
 
     /// Predicts a whole test set.

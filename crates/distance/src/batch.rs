@@ -15,7 +15,7 @@
 //! loops per request ([`KernelPolicy`]); the crossover lives in
 //! `kernel_profitable`.
 
-use crate::euclid::{min_dist_znorm_prepared, znorm_dist_from_dot};
+use crate::euclid::{min_dist_znorm_prepared, moments, znorm_dist_from_dot};
 use crate::fft::{Complex, Fft};
 use crate::metric::Metric;
 use crate::rolling::RollingStats;
@@ -232,9 +232,7 @@ impl SeriesPlan {
                 (best, best_at)
             }
             Metric::ZNormEuclidean => {
-                let mu_q = query.iter().sum::<f64>() / m as f64;
-                let sd_q =
-                    (query.iter().map(|x| (x - mu_q) * (x - mu_q)).sum::<f64>() / m as f64).sqrt();
+                let (mu_q, sd_q) = moments(query);
                 let stats = self.stats_for(series, m);
                 let mut best = f64::INFINITY;
                 let mut best_at = 0;

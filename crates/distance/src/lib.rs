@@ -11,7 +11,11 @@
 //! [`DistCache`] is the one way into the O(n log n) FFT/MASS min-distance
 //! kernel: it picks kernel or naive loop per request under a
 //! [`KernelPolicy`], keeps per-series plans that many requests share, and
-//! every fit and served request goes through it.
+//! every fit and served request goes through it. A fixed query set — a
+//! model's shapelets — is prepared once as a [`QuerySet`] (per-query
+//! z-norm moments, same-length groups), and [`DistCache::min_dists`]
+//! scores the whole set against a series with one window-statistics pass,
+//! hashing nothing for the queries the naive loop serves.
 //!
 //! ```
 //! use ips_distance::{sliding_min_dist, euclidean};
@@ -30,6 +34,7 @@ pub mod dtw;
 pub mod euclid;
 mod fft;
 pub mod metric;
+mod queries;
 pub mod rolling;
 
 pub use batch::KernelPolicy;
@@ -40,4 +45,5 @@ pub use euclid::{
     sliding_min_dist, sliding_min_dist_znorm, sq_euclidean, znorm_dist_from_dot, ZNORM_SIGMA_FLOOR,
 };
 pub use metric::Metric;
+pub use queries::QuerySet;
 pub use rolling::RollingStats;

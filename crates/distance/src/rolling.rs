@@ -25,33 +25,12 @@ impl RollingStats {
             };
         }
         let n_out = series.len() - window + 1;
-        let mut means = Vec::with_capacity(n_out);
-        let mut stds = Vec::with_capacity(n_out);
-        // Cumulative sums; f64 accumulation over laptop-scale series is
-        // adequate (validated against the direct computation in tests).
-        let mut cum = Vec::with_capacity(series.len() + 1);
-        let mut cum2 = Vec::with_capacity(series.len() + 1);
-        cum.push(0.0);
-        cum2.push(0.0);
-        for &x in series {
-            cum.push(cum.last().unwrap() + x);
-            cum2.push(cum2.last().unwrap() + x * x);
-        }
-        let w = window as f64;
-        for j in 0..n_out {
-            let s = cum[j + window] - cum[j];
-            let s2 = cum2[j + window] - cum2[j];
-            let mu = s / w;
-            // A singleton window has zero variance by definition; computing
-            // it via the cumsum difference would leave cancellation noise.
-            let var = if window == 1 {
-                0.0
-            } else {
-                (s2 / w - mu * mu).max(0.0)
-            };
-            means.push(mu);
-            stds.push(var.sqrt());
-        }
+        let mut cum = vec![0.0; series.len() + 1];
+        let mut cum2 = vec![0.0; series.len() + 1];
+        prefix_sums(series, &mut cum, &mut cum2);
+        let mut means = vec![0.0; n_out];
+        let mut stds = vec![0.0; n_out];
+        window_stats(&cum, &cum2, window, &mut means, &mut stds);
         Self {
             means,
             stds,
@@ -99,6 +78,58 @@ impl RollingStats {
     #[inline]
     pub fn stds(&self) -> &[f64] {
         &self.stds
+    }
+}
+
+/// Fills `cum` and `cum2` with the prefix sums of `series` and of its
+/// squares: `cum[j] = Σ_{i<j} x_i`, `cum2[j] = Σ_{i<j} x_i²`. Both must
+/// hold `series.len() + 1` entries. One pass serves every window length
+/// (see [`window_stats`]). f64 accumulation over laptop-scale series is
+/// adequate (validated against the direct computation in tests).
+pub(crate) fn prefix_sums(series: &[f64], cum: &mut [f64], cum2: &mut [f64]) {
+    debug_assert_eq!(cum.len(), series.len() + 1);
+    debug_assert_eq!(cum2.len(), series.len() + 1);
+    let (mut s, mut s2) = (0.0, 0.0);
+    cum[0] = 0.0;
+    cum2[0] = 0.0;
+    for ((&x, c), c2) in series.iter().zip(&mut cum[1..]).zip(&mut cum2[1..]) {
+        s += x;
+        s2 += x * x;
+        *c = s;
+        *c2 = s2;
+    }
+}
+
+/// Mean and population σ of every length-`window` window from the prefix
+/// sums of [`prefix_sums`], into `means` and `stds` (one entry per window,
+/// `n − window + 1`). Each window costs two subtractions, so a series
+/// probed at many lengths shares one prefix-sum pass.
+pub(crate) fn window_stats(
+    cum: &[f64],
+    cum2: &[f64],
+    window: usize,
+    means: &mut [f64],
+    stds: &mut [f64],
+) {
+    debug_assert!(window > 0 && window < cum.len());
+    debug_assert_eq!(means.len(), cum.len() - window);
+    debug_assert_eq!(stds.len(), means.len());
+    let w = window as f64;
+    let sums = cum[window..].iter().zip(cum);
+    let sums2 = cum2[window..].iter().zip(cum2);
+    for (((hi, lo), (hi2, lo2)), (mean, std)) in sums.zip(sums2).zip(means.iter_mut().zip(stds)) {
+        let s = hi - lo;
+        let s2 = hi2 - lo2;
+        let mu = s / w;
+        // A singleton window has zero variance by definition; computing
+        // it via the cumsum difference would leave cancellation noise.
+        let var = if window == 1 {
+            0.0
+        } else {
+            (s2 / w - mu * mu).max(0.0)
+        };
+        *mean = mu;
+        *std = var.sqrt();
     }
 }
 

@@ -401,8 +401,8 @@ mod tests {
             back.transform().transform_one_with_cache(&probe, &mut c2),
         );
         assert_eq!(
-            model.predict_with_cache(&probe, &mut c1),
-            back.predict_with_cache(&probe, &mut c2)
+            model.predict_with_cache(probe.values(), &mut c1),
+            back.predict_with_cache(probe.values(), &mut c2)
         );
     }
 

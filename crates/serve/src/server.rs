@@ -13,13 +13,15 @@
 //!
 //! **Determinism contract** (DESIGN.md §14): every scoring path routes
 //! through the model head's one scorer
-//! ([`ShapeletTransform::score`](ips_classify::ShapeletTransform::score))
-//! on a [`DistCache`]. The cache keeps
-//! only per-series plans, keyed by content, and picks the kernel
-//! deterministically from the request's shape, so a distance computed
-//! through a shared plan equals a fresh computation's — which requests
-//! happen to share a per-item cache cannot change any label.
-//! Batch responses are therefore bit-identical to
+//! ([`ShapeletTransform::score`](ips_classify::ShapeletTransform::score)),
+//! which scores the request's window in place. The shapelets' side was
+//! prepared when the model was built; the window's statistics are
+//! computed per request. Which path serves a shapelet — the naive loop
+//! or the FFT kernel — is a pure function of its length and the
+//! window's, and only kernel requests read a series plan from the work
+//! item's [`DistCache`], keyed by content, where a shared plan gives the
+//! bits a fresh one would. Which requests share a work item therefore
+//! cannot change any label, and batch responses are bit-identical to
 //! [`IpsServer::classify_now`] on the same request, at every thread
 //! count and every chunk size; responses always come back in submission
 //! order.
@@ -27,7 +29,6 @@
 use ips_core::{ChunkSize, ExecContext, IpsError, TaskPartition, WorkerPool};
 use ips_distance::{CacheStats, DistCache};
 use ips_obs::MetricsRegistry;
-use ips_tsdata::TimeSeries;
 
 use crate::persist::ServableModel;
 use crate::registry::ModelRegistry;
@@ -40,8 +41,9 @@ pub struct ServeConfig {
     /// Queue depth that triggers an automatic flush on
     /// [`IpsServer::submit`].
     pub max_batch: usize,
-    /// Work-item granularity for batch scoring (see
-    /// [`ChunkSize`]); requests within one item share a distance cache.
+    /// Work-item granularity for batch scoring (see [`ChunkSize`]). It
+    /// moves throughput, never a label: each item scores its requests
+    /// through one [`DistCache`], which only kernel-served shapelets read.
     pub chunk_size: ChunkSize,
 }
 
@@ -221,18 +223,15 @@ impl IpsServer {
         let partition = TaskPartition::new(&counts, self.config.chunk_size);
         let item_results = partition
             .try_run(self.ctx.workers(), |item| {
-                // One cache per work item: series plans and FFT tables are
-                // shared by the item's requests, never mutated across
-                // threads.
+                // One cache per work item, never shared across threads:
+                // it counts the item's evals and keeps the series plans
+                // and FFT tables of the shapelets the kernel serves.
                 let mut cache = DistCache::new();
                 let labels: Vec<(usize, u32)> = indices[item.class_idx][item.start..item.end]
                     .iter()
                     .map(|&qi| {
-                        let series = TimeSeries::new(batch[qi].window.clone());
-                        (
-                            qi,
-                            models[item.class_idx].predict_with_cache(&series, &mut cache),
-                        )
+                        let model = models[item.class_idx];
+                        (qi, model.predict_with_cache(&batch[qi].window, &mut cache))
                     })
                     .collect();
                 (labels, cache.stats())
@@ -270,7 +269,7 @@ impl IpsServer {
     pub fn classify_now(&self, request: &ClassifyRequest) -> Result<ClassifyResponse, IpsError> {
         let model = self.lookup(request)?;
         let _span = self.ctx.metrics().time("serve.single");
-        let label = model.predict(&TimeSeries::new(request.window.clone()));
+        let label = model.predict_with_cache(&request.window, &mut DistCache::new());
         self.ctx.metrics().incr("serve.singles", 1);
         Ok(ClassifyResponse {
             id: request.id,
@@ -420,6 +419,49 @@ mod tests {
         assert_eq!(m.counters["serve.responses"], 7);
         assert_eq!(m.counters["serve.batches"], 3);
         assert!(server.cache_stats().requests() > 0);
+    }
+
+    #[test]
+    fn every_response_books_one_eval_per_shapelet() {
+        // A third, z-normalized model whose shapelets have three lengths,
+        // one longer than every window of the stream.
+        let shapelets = vec![
+            Shapelet::new(vec![5.0, 6.0, 5.0], 0),
+            Shapelet::new(vec![0.0, 1.0, 3.0, 1.0, 0.0], 1),
+            Shapelet::new((0..20).map(|i| (i % 5) as f64).collect(), 1),
+        ];
+        let features = vec![vec![0.1, 9.0, 1.0], vec![9.0, 0.2, 1.0]];
+        let svm = LinearSvm::fit(&features, &[0, 1], SvmParams::default());
+        let wide = ServableModel::new("wide", ShapeletTransform::new(shapelets, true), svm);
+        let mut registry = two_model_registry();
+        registry.insert(wide.unwrap()).unwrap();
+        let mut requests = stream(30);
+        for (i, request) in requests.iter_mut().enumerate().step_by(4) {
+            request.model = "wide".into();
+            request.window.truncate(2 + i % 14);
+        }
+        let config = ServeConfig {
+            num_threads: 2,
+            max_batch: 8,
+            chunk_size: ChunkSize::Fixed(3),
+        };
+        let mut server = IpsServer::new(registry, config).unwrap();
+        let mut responses = Vec::new();
+        for request in &requests {
+            responses.extend(server.submit(request.clone()).unwrap().unwrap_or_default());
+        }
+        responses.extend(server.flush().unwrap());
+        assert_eq!(responses.len(), requests.len());
+        let dims: usize = responses
+            .iter()
+            .map(|r| server.registry().get(&r.model).unwrap().transform().dim())
+            .sum();
+        assert_eq!(server.cache_stats().kernel_evals, dims);
+        assert_eq!(server.cache_stats().cache_hits, 0);
+        // Each batch response is still the single-request reference.
+        for (request, response) in requests.iter().zip(&responses) {
+            assert_eq!(&server.classify_now(request).unwrap(), response);
+        }
     }
 
     #[test]

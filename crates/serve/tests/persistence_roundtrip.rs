@@ -55,7 +55,7 @@ fn save_load_transform_is_bit_identical_to_in_memory() {
     for series in test.all_series() {
         let mut cache = DistCache::new();
         assert_eq!(
-            loaded.predict_with_cache(series, &mut cache),
+            loaded.predict_with_cache(series.values(), &mut cache),
             model.predict(series)
         );
         // A served model explains its predictions exactly as the fitted

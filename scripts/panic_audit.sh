@@ -26,6 +26,9 @@ AUDITED_FILES=(
     crates/core/src/utility.rs
     crates/distance/src/batch.rs
     crates/distance/src/cache.rs
+    crates/distance/src/euclid.rs
+    crates/distance/src/queries.rs
+    crates/distance/src/rolling.rs
     crates/profile/src/instance.rs
     crates/serve/src/persist.rs
     crates/serve/src/registry.rs

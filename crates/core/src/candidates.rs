@@ -9,7 +9,7 @@
 //! classes" (Section III-D).
 
 use ips_lsh::embed;
-use ips_profile::{InstanceProfile, PairTable};
+use ips_profile::{InstanceProfile, PairTable, ProfileEntry};
 use ips_tsdata::{ClassConcat, Dataset};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -277,7 +277,7 @@ fn extract_motif_discord(
     out: &mut Vec<Candidate>,
 ) {
     let len = ip.window();
-    let mut push = |entry: ips_profile::ProfileEntry, kind: CandidateKind| {
+    let mut push = |entry: ProfileEntry, kind: CandidateKind| {
         let values = concat.values()[entry.start..entry.start + len].to_vec();
         let (inst, offset) = concat.to_instance_coords(entry.start);
         let embedded = embed(&values, config.embed_dim());
@@ -292,44 +292,43 @@ fn extract_motif_discord(
         });
     };
     let m = config.motifs_per_sample.max(1);
-    for entry in top_entries(ip, m, len / 2, false) {
+    for entry in top_entries(ip.entries(), m, len / 2, false) {
         push(entry, CandidateKind::Motif);
     }
-    for entry in top_entries(ip, m, len / 2, true) {
+    for entry in top_entries(ip.entries(), m, len / 2, true) {
         push(entry, CandidateKind::Discord);
     }
 }
 
-/// Top-`m` smallest (motifs) or largest (discords) profile entries with an
-/// exclusion half-width of `excl` around each pick — the coverage
-/// generalization of Algorithm 1's single min/max.
+/// Top-`m` smallest (motifs) or largest (discords) finite profile
+/// entries with an exclusion half-width of `excl` around each pick — the
+/// coverage generalization of Algorithm 1's single min/max.
+///
+/// Each of up to `m` passes takes the strict minimum (maximum) finite entry
+/// outside every earlier pick's zone, so ties go to the earliest entry:
+/// the picks, in order, of a stable sort followed by a greedy walk, in
+/// O(m · n) and with no allocation beyond the result.
 fn top_entries(
-    ip: &InstanceProfile,
+    entries: &[ProfileEntry],
     m: usize,
     excl: usize,
     largest: bool,
-) -> Vec<ips_profile::ProfileEntry> {
-    let mut order: Vec<&ips_profile::ProfileEntry> = ip
-        .entries()
-        .iter()
-        .filter(|e| e.value.is_finite())
-        .collect();
-    order.sort_by(|a, b| {
-        if largest {
-            b.value.partial_cmp(&a.value).expect("finite")
-        } else {
-            a.value.partial_cmp(&b.value).expect("finite")
+) -> Vec<ProfileEntry> {
+    let mut picked: Vec<ProfileEntry> = Vec::with_capacity(m);
+    while picked.len() < m {
+        let mut best: Option<&ProfileEntry> = None;
+        for e in entries {
+            let beats = match best {
+                None => e.value.is_finite(),
+                Some(b) if largest => e.value > b.value && e.value.is_finite(),
+                Some(b) => e.value < b.value && e.value.is_finite(),
+            };
+            if beats && picked.iter().all(|p| p.start.abs_diff(e.start) > excl) {
+                best = Some(e);
+            }
         }
-    });
-    let mut picked: Vec<ips_profile::ProfileEntry> = Vec::with_capacity(m);
-    for e in order {
-        if picked.len() == m {
-            break;
-        }
-        if picked.iter().any(|p| p.start.abs_diff(e.start) <= excl) {
-            continue;
-        }
-        picked.push(*e);
+        let Some(&best) = best else { break };
+        picked.push(best);
     }
     picked
 }
@@ -512,5 +511,122 @@ mod tests {
         assert!(before > 0);
         // other classes untouched
         assert!(pool.motifs_of(1).count() > 0);
+    }
+
+    /// The sort-based extraction the pass-based [`top_entries`] replaced:
+    /// filter the finite entries, stable-sort them, walk them greedily.
+    fn top_entries_by_sort(
+        entries: &[ProfileEntry],
+        m: usize,
+        excl: usize,
+        largest: bool,
+    ) -> Vec<ProfileEntry> {
+        let mut order: Vec<&ProfileEntry> =
+            entries.iter().filter(|e| e.value.is_finite()).collect();
+        order.sort_by(|a, b| {
+            if largest {
+                b.value.partial_cmp(&a.value).expect("finite")
+            } else {
+                a.value.partial_cmp(&b.value).expect("finite")
+            }
+        });
+        let mut picked: Vec<ProfileEntry> = Vec::with_capacity(m);
+        for e in order {
+            if picked.len() == m {
+                break;
+            }
+            if picked.iter().any(|p| p.start.abs_diff(e.start) <= excl) {
+                continue;
+            }
+            picked.push(*e);
+        }
+        picked
+    }
+
+    /// Picks as comparable keys: ±0.0 are `==`, so compare value bits.
+    fn keys(picks: &[ProfileEntry]) -> Vec<(usize, u64, usize)> {
+        picks
+            .iter()
+            .map(|e| (e.start, e.value.to_bits(), e.nn_start))
+            .collect()
+    }
+
+    mod top_entries_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A profile in start order, with gaps like the boundary-skipping
+        /// real ones and values drawn to collide: NaN, ±∞, ±0.0, a few
+        /// repeated levels and free values.
+        fn profile(raw: &[(usize, u32, f64)]) -> Vec<ProfileEntry> {
+            let mut start = 0;
+            raw.iter()
+                .enumerate()
+                .map(|(i, &(gap, code, x))| {
+                    start += gap;
+                    let value = match code {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        3 => -0.0,
+                        4 => 0.0,
+                        5..=7 => (x * 3.0).round(),
+                        _ => x,
+                    };
+                    ProfileEntry {
+                        start,
+                        value,
+                        nn_start: i,
+                    }
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn pass_based_extraction_matches_the_sort_based_reference(
+                raw in prop::collection::vec((1usize..4, 0u32..10, -2.0f64..2.0), 0..80),
+                m in 0usize..12,
+                excl in 0usize..300,
+            ) {
+                let entries = profile(&raw);
+                // `excl` runs past the profile's span, so some cases admit
+                // one pick only; small `excl` (0 included) admits many
+                for largest in [false, true] {
+                    prop_assert_eq!(
+                        keys(&top_entries(&entries, m, excl, largest)),
+                        keys(&top_entries_by_sort(&entries, m, excl, largest))
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_entries_edge_cases_match_the_reference() {
+        let e = |start, value| ProfileEntry {
+            start,
+            value,
+            nn_start: 0,
+        };
+        let cases: Vec<Vec<ProfileEntry>> = vec![
+            vec![],
+            vec![e(0, f64::NAN), e(1, f64::INFINITY), e(2, f64::NEG_INFINITY)],
+            vec![e(0, 0.0), e(1, -0.0), e(5, 0.0), e(9, -0.0)],
+            vec![e(0, 1.0), e(3, 1.0), e(6, 1.0), e(7, f64::NAN), e(9, 1.0)],
+        ];
+        for entries in &cases {
+            for (m, excl) in [(0, 0), (1, 0), (3, 0), (10, 0), (3, 2), (3, 100)] {
+                for largest in [false, true] {
+                    assert_eq!(
+                        keys(&top_entries(entries, m, excl, largest)),
+                        keys(&top_entries_by_sort(entries, m, excl, largest)),
+                        "{entries:?} m={m} excl={excl} largest={largest}"
+                    );
+                }
+            }
+        }
     }
 }

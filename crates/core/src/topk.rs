@@ -78,8 +78,14 @@ pub(crate) fn select_class_from_scores(
     // Alg. 4), so a poll is skipped when the candidate sits closer to
     // an already-selected shapelet than `div_threshold` in embedding
     // space. Skipped candidates are kept as fallback so k is always
-    // reached when the pool allows it.
-    let div_threshold = config.diversity * mean_pairwise_embedded(&motifs);
+    // reached when the pool allows it. A zero diversity (the default)
+    // marks no pick too close whatever the scale, so the O(n²) scale is
+    // computed only when it matters.
+    let div_threshold = if config.diversity == 0.0 {
+        0.0
+    } else {
+        config.diversity * mean_pairwise_embedded(&motifs)
+    };
     let mut picked_embeds: Vec<&[f64]> = Vec::with_capacity(config.k);
     let mut seen: Vec<(usize, usize, usize)> = Vec::new();
     let mut deferred: Vec<(OrderedScore, usize)> = Vec::new();

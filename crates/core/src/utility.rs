@@ -313,10 +313,7 @@ pub(crate) fn score_dt_cr_counted(
     // Bucket ranks of this class's motifs in its own table.
     let motif_ranks: Vec<f64> = motifs
         .iter()
-        .map(|m| {
-            own.table()
-                .rank_of_norm(own.table().query_norm(&m.embedded)) as f64
-        })
+        .map(|m| own.rank_of(&m.embedded) as f64)
         .collect();
     let intra = AbsDevTable::new(&motif_ranks);
 
@@ -332,7 +329,7 @@ pub(crate) fn score_dt_cr_counted(
             let ranks: Vec<f64> = pool
                 .of_class(c)
                 .iter()
-                .map(|x| f.table().rank_of_norm(f.table().query_norm(&x.embedded)) as f64)
+                .map(|x| f.rank_of(&x.embedded) as f64)
                 .collect();
             (!ranks.is_empty()).then(|| (f, AbsDevTable::new(&ranks)))
         })
@@ -344,7 +341,7 @@ pub(crate) fn score_dt_cr_counted(
         .into_iter()
         .map(|i| {
             let e = embed(train.series(i).values(), config.embed_dim());
-            own.table().rank_of_norm(own.table().query_norm(&e)) as f64
+            own.rank_of(&e) as f64
         })
         .collect();
     let inst_table = AbsDevTable::new(&instance_ranks);
@@ -364,7 +361,7 @@ pub(crate) fn score_dt_cr_counted(
             } else {
                 let (sum, count) = other_tables.iter().fold((0.0, 0usize), |(s, c), (f, t)| {
                     let scale = f.table().num_buckets().max(1) as f64;
-                    let r = f.table().rank_of_norm(f.table().query_norm(&m.embedded)) as f64;
+                    let r = f.rank_of(&m.embedded) as f64;
                     (s + t.sum_abs_dev(r) / scale, c + t.len())
                 });
                 sigmoid(sum / count.max(1) as f64)

@@ -12,7 +12,7 @@
 //! elements" (prune), outside means "definitely not close to most"
 //! (keep as a discriminative candidate).
 
-use ips_lsh::{BucketTable, Lsh, LshParams};
+use ips_lsh::{projection_norm, BucketTable, Lsh, LshParams};
 use ips_stats::fit::{best_fit, FitResult};
 
 /// Configuration of a DABF.
@@ -41,6 +41,9 @@ impl Default for DabfConfig {
 #[derive(Debug, Clone)]
 pub struct ClassDabf {
     table: BucketTable,
+    /// The table's bucket center norms, ascending with NaN dropped: the
+    /// frozen ranking [`ClassDabf::rank_of`] searches.
+    sorted_center_norms: Vec<f64>,
     /// Best-fit distribution over the element projection norms (`None`
     /// when the class had too few / degenerate elements — queries then
     /// conservatively report "not close").
@@ -58,8 +61,9 @@ impl ClassDabf {
         let mut table = BucketTable::new(Lsh::new(config.lsh));
         let mut norms = Vec::with_capacity(elements.len());
         for (id, e) in elements.iter().enumerate() {
-            table.insert(id, e);
-            norms.push(table.query_norm(e));
+            let proj = table.lsh().project(e);
+            table.insert(id, &proj);
+            norms.push(projection_norm(&proj));
         }
         let (mu, sigma) = moments(&norms);
         // Fit over z-normalized norms (Algorithm 2 lines 8-10); fitting on
@@ -71,8 +75,17 @@ impl ClassDabf {
         } else {
             None
         };
+        // A NaN norm is never `<` a query, so dropping it leaves every
+        // rank unchanged and keeps the sorted order a valid search key.
+        let sorted_center_norms = table
+            .ranked_center_norms()
+            .into_iter()
+            .map(|(norm, _)| norm)
+            .filter(|norm| !norm.is_nan())
+            .collect();
         Self {
             table,
+            sorted_center_norms,
             fit,
             mu,
             sigma,
@@ -98,10 +111,11 @@ impl ClassDabf {
         if self.sigma <= 0.0 {
             return false;
         }
-        if self.table.bucket_of(embedded).is_none() {
+        let proj = self.table.lsh().project(embedded);
+        if self.table.bucket_of(&proj).is_none() {
             return false; // LSH says: definitely not close to this class
         }
-        let z = (self.table.query_norm(embedded) - self.mu) / self.sigma;
+        let z = (projection_norm(&proj) - self.mu) / self.sigma;
         // Re-standardize within the fitted distribution (its mean/std are
         // ≈ (0,1) for Normal fits but differ for skewed families).
         let (dm, ds) = (fit.dist.mean(), fit.dist.std());
@@ -109,6 +123,18 @@ impl ClassDabf {
             return false;
         }
         ((z - dm) / ds).abs() <= self.config.sigma_rule
+    }
+
+    /// The bucket rank of a query — the number of buckets whose center
+    /// norm is strictly below the query's projection norm, i.e. the
+    /// position it would take in the ascending center-norm order. This is
+    /// the "bucket index" of the DT lower bound (Formula 15). One
+    /// projection plus a binary search over the frozen norms: O(dim ·
+    /// hashes + log #buckets). A NaN query ranks 0 and +∞ ranks above
+    /// every finite center.
+    pub fn rank_of(&self, embedded: &[f64]) -> usize {
+        let norm = projection_norm(&self.table.lsh().project(embedded));
+        self.sorted_center_norms.partition_point(|&c| c < norm)
     }
 
     /// The fitted distribution and its NMSE (the Table III row for this
@@ -291,6 +317,32 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    #[test]
+    fn rank_of_brackets() {
+        let elements: Vec<Vec<f64>> = (0..10)
+            .map(|i| {
+                (0..16)
+                    .map(|j| ((i * 5 + j) as f64 * 1.3).sin() * 4.0)
+                    .collect()
+            })
+            .collect();
+        let dabf = ClassDabf::build(&elements, config());
+        let buckets = dabf.table().num_buckets();
+        assert!(buckets > 1);
+        // a NaN projection norm is below no center …
+        assert_eq!(dabf.rank_of(&[f64::NAN; 16]), 0);
+        // … and an infinite one is above every finite center.
+        let mut inf = [0.0; 16];
+        inf[0] = f64::INFINITY;
+        assert_eq!(dabf.rank_of(&inf), buckets);
+        // the elements themselves spread over the ranking
+        let (lo, hi) = elements.iter().fold((usize::MAX, 0), |(lo, hi), e| {
+            let r = dabf.rank_of(e);
+            (lo.min(r), hi.max(r))
+        });
+        assert!(lo < hi && hi <= buckets);
     }
 
     #[test]

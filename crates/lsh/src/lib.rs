@@ -29,4 +29,4 @@ pub mod table;
 
 pub use embed::{embed, resample};
 pub use family::{Lsh, LshKind, LshParams, Signature};
-pub use table::{Bucket, BucketTable};
+pub use table::{projection_norm, Bucket, BucketTable};

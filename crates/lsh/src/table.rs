@@ -79,17 +79,18 @@ impl BucketTable {
         &self.lsh
     }
 
-    /// Inserts an item (already embedded to the family dimension) under a
-    /// caller-defined id; returns its signature.
-    pub fn insert(&mut self, id: usize, embedded: &[f64]) -> Signature {
-        let sig = self.lsh.signature(embedded);
-        let proj = self.lsh.project(embedded);
+    /// Inserts an item under a caller-defined id, given its projection
+    /// (`self.lsh().project(embedded)`); returns its signature. Taking the
+    /// projection lets a caller that also needs [`projection_norm`] project
+    /// each item once.
+    pub fn insert(&mut self, id: usize, proj: &[f64]) -> Signature {
+        let sig = self.lsh.signature_of(proj);
         let bucket = self
             .buckets
             .entry(sig.clone())
             .or_insert_with(|| Bucket::new(proj.len()));
         bucket.members.push(id);
-        for (s, p) in bucket.sum.iter_mut().zip(&proj) {
+        for (s, p) in bucket.sum.iter_mut().zip(proj) {
             *s += p;
         }
         self.count += 1;
@@ -114,9 +115,10 @@ impl BucketTable {
         self.buckets.len()
     }
 
-    /// The bucket holding `embedded`'s signature, if any.
-    pub fn bucket_of(&self, embedded: &[f64]) -> Option<&Bucket> {
-        self.buckets.get(&self.lsh.signature(embedded))
+    /// The bucket holding the signature of a projection
+    /// (`self.lsh().project(embedded)`), if any.
+    pub fn bucket_of(&self, proj: &[f64]) -> Option<&Bucket> {
+        self.buckets.get(&self.lsh.signature_of(proj))
     }
 
     /// All buckets (arbitrary order).
@@ -126,37 +128,23 @@ impl BucketTable {
 
     /// Center-to-origin norms of every bucket, **ranked ascending** — the
     /// ranked-bucket view of Algorithm 2 (line 7). Each entry is
-    /// `(center_norm, member_count)`.
+    /// `(center_norm, member_count)`. Ordered by `f64::total_cmp`, so a
+    /// degenerate (NaN) norm sorts deterministically instead of panicking.
     pub fn ranked_center_norms(&self) -> Vec<(f64, usize)> {
         let mut norms: Vec<(f64, usize)> = self
             .buckets
             .values()
             .map(|b| (b.center_norm(), b.len()))
             .collect();
-        norms.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite norms"));
+        norms.sort_by(|a, b| a.0.total_cmp(&b.0));
         norms
     }
+}
 
-    /// The rank (position in the ascending center-norm order) a query's
-    /// projection norm would occupy — the "bucket index" used by the DT
-    /// lower bound (Formula 15). Runs in O(#buckets).
-    pub fn rank_of_norm(&self, norm: f64) -> usize {
-        self.buckets
-            .values()
-            .filter(|b| b.center_norm() < norm)
-            .count()
-    }
-
-    /// Per-item projection norm of a query (distance of `LSH(e)` to the
-    /// origin, the quantity normalized by the DABF distribution).
-    pub fn query_norm(&self, embedded: &[f64]) -> f64 {
-        self.lsh
-            .project(embedded)
-            .iter()
-            .map(|x| x * x)
-            .sum::<f64>()
-            .sqrt()
-    }
+/// Distance of a projection from the origin — per item, the quantity the
+/// DABF's distribution normalizes and the DT path ranks.
+pub fn projection_norm(proj: &[f64]) -> f64 {
+    proj.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]
@@ -173,15 +161,21 @@ mod tests {
         }))
     }
 
+    /// Inserts an embedded vector through its projection.
+    fn put(t: &mut BucketTable, id: usize, v: &[f64]) {
+        let proj = t.lsh().project(v);
+        t.insert(id, &proj);
+    }
+
     #[test]
     fn insert_and_lookup() {
         let mut t = table();
         let v = [1.0, -0.5, 0.3, 0.8, -1.2, 0.0, 0.4, -0.7];
-        t.insert(0, &v);
-        t.insert(1, &v);
+        put(&mut t, 0, &v);
+        put(&mut t, 1, &v);
         assert_eq!(t.len(), 2);
         assert_eq!(t.num_buckets(), 1);
-        let b = t.bucket_of(&v).unwrap();
+        let b = t.bucket_of(&t.lsh().project(&v)).unwrap();
         assert_eq!(b.members, vec![0, 1]);
         assert!(!b.is_empty());
     }
@@ -190,15 +184,15 @@ mod tests {
     fn centroid_is_mean_of_projections() {
         let mut t = table();
         let v = [0.5, 0.5, -0.5, -0.5, 1.0, -1.0, 0.0, 0.0];
-        t.insert(7, &v);
+        put(&mut t, 7, &v);
         let proj = t.lsh().project(&v);
-        let b = t.bucket_of(&v).unwrap();
+        let b = t.bucket_of(&proj).unwrap();
         for (c, p) in b.center().iter().zip(&proj) {
             assert!((c - p).abs() < 1e-12);
         }
         let norm = proj.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!((b.center_norm() - norm).abs() < 1e-12);
-        assert!((t.query_norm(&v) - norm).abs() < 1e-12);
+        assert!((projection_norm(&proj) - norm).abs() < 1e-12);
     }
 
     #[test]
@@ -209,7 +203,7 @@ mod tests {
             let v: Vec<f64> = (0..8)
                 .map(|j| ((i * 8 + j) as f64 * 1.7).sin() * 5.0)
                 .collect();
-            t.insert(i, &v);
+            put(&mut t, i, &v);
         }
         assert!(t.num_buckets() > 5, "only {} buckets", t.num_buckets());
     }
@@ -221,7 +215,7 @@ mod tests {
             let v: Vec<f64> = (0..8)
                 .map(|j| ((i * 3 + j) as f64 * 0.9).cos() * 3.0)
                 .collect();
-            t.insert(i, &v);
+            put(&mut t, i, &v);
         }
         let ranked = t.ranked_center_norms();
         assert_eq!(ranked.iter().map(|r| r.1).sum::<usize>(), 30);
@@ -231,23 +225,10 @@ mod tests {
     }
 
     #[test]
-    fn rank_of_norm_brackets() {
-        let mut t = table();
-        for i in 0..10 {
-            let v: Vec<f64> = (0..8)
-                .map(|j| ((i * 5 + j) as f64 * 1.3).sin() * 4.0)
-                .collect();
-            t.insert(i, &v);
-        }
-        assert_eq!(t.rank_of_norm(0.0), 0);
-        assert_eq!(t.rank_of_norm(f64::INFINITY), t.num_buckets());
-    }
-
-    #[test]
     fn empty_table_behaviour() {
         let t = table();
         assert!(t.is_empty());
         assert!(t.ranked_center_norms().is_empty());
-        assert!(t.bucket_of(&[0.0; 8]).is_none());
+        assert!(t.bucket_of(&[0.0; 4]).is_none());
     }
 }

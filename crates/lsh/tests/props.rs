@@ -60,7 +60,8 @@ proptest! {
             ..Default::default()
         }));
         for (i, v) in vs.iter().enumerate() {
-            t.insert(i, v);
+            let proj = t.lsh().project(v);
+            t.insert(i, &proj);
         }
         prop_assert_eq!(t.len(), vs.len());
         let total: usize = t.buckets().map(|(_, b)| b.len()).sum();
@@ -73,7 +74,7 @@ proptest! {
         }
         // every inserted vector finds its own bucket
         for v in &vs {
-            prop_assert!(t.bucket_of(v).is_some());
+            prop_assert!(t.bucket_of(&t.lsh().project(v)).is_some());
         }
     }
 }

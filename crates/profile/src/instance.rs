@@ -13,6 +13,7 @@
 //! from the joins it already holds.
 
 use std::cell::OnceCell;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -109,7 +110,7 @@ impl InstanceProfile {
         self.entries
             .iter()
             .filter(|e| e.value.is_finite())
-            .min_by(|a, b| a.value.partial_cmp(&b.value).expect("finite"))
+            .min_by(|a, b| a.value.partial_cmp(&b.value).unwrap_or(Ordering::Equal))
             .copied()
     }
 
@@ -119,7 +120,7 @@ impl InstanceProfile {
         self.entries
             .iter()
             .filter(|e| e.value.is_finite())
-            .max_by(|a, b| a.value.partial_cmp(&b.value).expect("finite"))
+            .max_by(|a, b| a.value.partial_cmp(&b.value).unwrap_or(Ordering::Equal))
             .copied()
     }
 

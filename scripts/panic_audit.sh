@@ -23,12 +23,15 @@ AUDITED_FILES=(
     crates/core/src/pool.rs
     crates/core/src/sampling.rs
     crates/core/src/schedule.rs
+    crates/core/src/topk.rs
     crates/core/src/utility.rs
     crates/distance/src/batch.rs
     crates/distance/src/cache.rs
     crates/distance/src/euclid.rs
     crates/distance/src/queries.rs
     crates/distance/src/rolling.rs
+    crates/filter/src/dabf.rs
+    crates/lsh/src/table.rs
     crates/profile/src/instance.rs
     crates/serve/src/persist.rs
     crates/serve/src/registry.rs
@@ -45,13 +48,6 @@ ALLOWLIST=(
     # AbsDevTable prefix sums: the vector is seeded with one element
     # before the loop, so `last()` is always Some.
     'prefix.push(prefix.last().unwrap() + v)'
-    # top_entries' sort and InstanceProfile::motif/discord: each comparator
-    # runs only on entries that passed the `is_finite` filter in front of
-    # it, and finite values always compare.
-    'b.value.partial_cmp(&a.value).expect("finite")'
-    'a.value.partial_cmp(&b.value).expect("finite")'
-    '.min_by(|a, b| a.value.partial_cmp(&b.value).expect("finite"))'
-    '.max_by(|a, b| a.value.partial_cmp(&b.value).expect("finite"))'
     # SeriesPlan::stats_for: the `last()` directly follows a `push` onto
     # the same vector, so it is always Some.
     '&self.stats.last().unwrap().1'

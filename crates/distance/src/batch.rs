@@ -55,9 +55,10 @@ pub(crate) fn first_non_finite(xs: &[f64]) -> Option<usize> {
 /// 1.7 per transform was fitted against `bench_kernel` after that loop's
 /// 4-lane unrolling.
 ///
-/// The constant **predates the fused two-window naive z-norm loop over
-/// prepared statistics**, which made the naive side 1.4–2.1× faster, so
-/// the model now picks the kernel in cells where the naive loop is faster
+/// The constant **predates the fused naive z-norm loop over prepared
+/// statistics**, which made the naive side 1.4–2.1× faster with two
+/// windows per step and another 1.1–1.6× with four, so the model now
+/// picks the kernel in cells where the naive loop is faster
 /// (`results/BENCH_kernel.json` records where). It is left as is on
 /// purpose — moving the crossover changes which path serves a request,
 /// and so changes distance bits.

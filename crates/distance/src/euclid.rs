@@ -96,39 +96,43 @@ pub(crate) fn dot4(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// [`dot4`] of `q` against the two adjacent windows `w[..m]` and
-/// `w[1..=m]` (`w.len() == m + 1`) in one pass: each query element is
-/// loaded once for both windows, and each window accumulates in its own
-/// four lanes with [`dot4`]'s exact lane assignment and combine order, so
-/// both results are bit-identical to two separate [`dot4`] calls.
+/// [`dot4`] of `q` against the four adjacent windows `w[k..k + m]`
+/// (`k < 4`, `w.len() == m + 3`) in one pass. Each 4-element block of
+/// the query is loaded once for all four windows, and window `k`
+/// accumulates in its own four lanes with [`dot4`]'s exact lane
+/// assignment (element `i` into lane `i mod 4`), combine order
+/// `(a0 + a1) + (a2 + a3)` and sequential tail, so every result is
+/// bit-identical to a separate [`dot4`] call. The 16 accumulators are 16
+/// independent add chains, and the shifted `chunks_exact` views leave the
+/// body free of bounds checks and lane shuffles. Four is the measured
+/// best: six windows per step compile to a body about 1.5× slower, and
+/// eight gain nothing over four.
 #[inline]
-fn dot4_pair(q: &[f64], w: &[f64]) -> (f64, f64) {
+fn dot4_x4(q: &[f64], w: &[f64]) -> [f64; 4] {
     let m = q.len();
-    debug_assert_eq!(w.len(), m + 1);
-    let (w0, w1) = (&w[..m], &w[1..]);
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let (mut b0, mut b1, mut b2, mut b3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut i = 0;
-    while i + 4 <= m {
-        let (q0, q1, q2, q3) = (q[i], q[i + 1], q[i + 2], q[i + 3]);
-        a0 += q0 * w0[i];
-        a1 += q1 * w0[i + 1];
-        a2 += q2 * w0[i + 2];
-        a3 += q3 * w0[i + 3];
-        b0 += q0 * w1[i];
-        b1 += q1 * w1[i + 1];
-        b2 += q2 * w1[i + 2];
-        b3 += q3 * w1[i + 3];
-        i += 4;
+    debug_assert_eq!(w.len(), m + 3);
+    let mut acc = [[0.0f64; 4]; 4];
+    let blocks = q
+        .chunks_exact(4)
+        .zip(w.chunks_exact(4))
+        .zip(w[1..].chunks_exact(4))
+        .zip(w[2..].chunks_exact(4))
+        .zip(w[3..].chunks_exact(4));
+    for ((((x, w0), w1), w2), w3) in blocks {
+        for (a, wk) in acc.iter_mut().zip([w0, w1, w2, w3]) {
+            for l in 0..4 {
+                a[l] += x[l] * wk[l];
+            }
+        }
     }
-    let mut acc0 = (a0 + a1) + (a2 + a3);
-    let mut acc1 = (b0 + b1) + (b2 + b3);
-    while i < m {
-        acc0 += q[i] * w0[i];
-        acc1 += q[i] * w1[i];
-        i += 1;
+    let mut out = acc.map(|a| (a[0] + a[1]) + (a[2] + a[3]));
+    let body = m - m % 4;
+    for (k, o) in out.iter_mut().enumerate() {
+        for (x, y) in q[body..].iter().zip(&w[k + body..]) {
+            *o += x * y;
+        }
     }
-    (acc0, acc1)
+    out
 }
 
 /// Euclidean distance between two equal-length slices.
@@ -211,13 +215,15 @@ pub fn sliding_min_dist_znorm(query: &[f64], series: &[f64]) -> (f64, usize) {
 /// one series with many queries (the distance cache's [`SeriesPlan`])
 /// build it once per window length instead of once per request.
 ///
-/// One allocation-free pass scores **two adjacent windows** per step,
-/// sharing the query loads. Each window's dot product keeps [`dot4`]'s
-/// exact lane assignment and combine order `(a0 + a1) + (a2 + a3) + tail`,
-/// and each goes through [`znorm_dist_from_dot`] with the same statistics
-/// [`dist_profile_znorm`] uses, so every per-window distance has the
-/// profile's bits. The strict `<` scan from `+∞` keeps the first minimum
-/// — [`argmin`]'s tie rule, which also skips nothing here because
+/// One allocation-free pass scores **four adjacent windows** per step
+/// (`dot4_x4`: each query block loaded once, a 4×4 block of lane
+/// accumulators), and each of the last ≤ 3 windows with one [`dot4`].
+/// Each window's dot product keeps [`dot4`]'s exact lane assignment and
+/// combine order `(a0 + a1) + (a2 + a3) + tail`, and each goes through
+/// [`znorm_dist_from_dot`] with the same statistics [`dist_profile_znorm`]
+/// uses, so every per-window distance has the profile's bits. The strict
+/// `<` scan from `+∞` in window order keeps the first minimum —
+/// [`argmin`]'s tie rule, which also skips nothing here because
 /// [`znorm_dist_from_dot`] never returns NaN (non-finite → `+∞`).
 ///
 /// [`SeriesPlan`]: crate::SeriesPlan
@@ -258,21 +264,18 @@ pub(crate) fn min_dist_znorm_rows(
     let mut best = f64::INFINITY;
     let mut best_at = 0;
     let mut j = 0;
-    while j + 2 <= n_out {
-        let (dot0, dot1) = dot4_pair(q, &s[j..j + m + 1]);
-        let d0 = znorm_dist_from_dot(dot0, m, mu_q, sd_q, means[j], stds[j]);
-        let d1 = znorm_dist_from_dot(dot1, m, mu_q, sd_q, means[j + 1], stds[j + 1]);
-        if d0 < best {
-            best = d0;
-            best_at = j;
+    while j + 4 <= n_out {
+        let dots = dot4_x4(q, &s[j..j + m + 3]);
+        for (k, dot) in dots.into_iter().enumerate() {
+            let d = znorm_dist_from_dot(dot, m, mu_q, sd_q, means[j + k], stds[j + k]);
+            if d < best {
+                best = d;
+                best_at = j + k;
+            }
         }
-        if d1 < best {
-            best = d1;
-            best_at = j + 1;
-        }
-        j += 2;
+        j += 4;
     }
-    if j < n_out {
+    for j in j..n_out {
         let d = znorm_dist_from_dot(dot4(q, &s[j..j + m]), m, mu_q, sd_q, means[j], stds[j]);
         if d < best {
             best = d;

@@ -24,11 +24,15 @@
 //!   windows — e.g. a flat series under `MeanSquared`, where every window
 //!   is equidistant — FFT rounding may pick a different member of the tie.)
 //! * **Fused z-norm loop**: `sliding_min_dist_znorm` (one allocation-free
-//!   pass, two windows per step, over prepared window statistics) is
-//!   *bit-identical* — value bits and offset — to the reference oracle
-//!   `dist_profile_znorm` + `argmin`, exact ties and NaN included; and a
-//!   `DistCache` that serves many queries from one series plan returns the
-//!   same bits as the unplanned call.
+//!   pass over prepared window statistics that scores four adjacent
+//!   windows per step in a 4×4 block of lane accumulators, and each of the
+//!   last ≤ 3 windows alone) is *bit-identical* — value bits and offset —
+//!   to the reference oracle `dist_profile_znorm` + `argmin`, exact ties
+//!   and NaN included; a deterministic shape table covers every
+//!   `(m mod 4, window count mod 4)` pair, so both the four-window body
+//!   and the per-window tail run at every alignment; and a `DistCache`
+//!   that serves many queries from one series plan, or a whole query set
+//!   through `min_dists`, returns the same bits as the unplanned call.
 //! * **Zero-σ convention** (owned by `znorm_dist_from_dot`, shared by the
 //!   naive profile and the kernel): both sides constant → distance
 //!   exactly `0`; exactly one side constant → z-ED exactly `√m`, i.e.
@@ -38,7 +42,7 @@
 
 use ips_distance::{
     argmin, dist_profile_znorm, mean_sq_dist, sliding_min_dist, sliding_min_dist_znorm, DistCache,
-    KernelPolicy, Metric,
+    KernelPolicy, Metric, QuerySet,
 };
 
 /// splitmix64 — deterministic, seedable, no dependencies.
@@ -312,8 +316,9 @@ fn fused_znorm_loop_is_bit_identical_to_the_profile_argmin() {
             let level = g.value();
             s[at..at + run].fill(level);
         }
-        // window lengths: 1, n, and in between — n − m + 1 windows is then
-        // both odd and even across cases (the two-window loop's tail)
+        // window lengths: 1, n, and in between — n − m + 1 windows then
+        // falls in every residue mod 4 across cases (the four-window
+        // loop's per-window tail)
         let m = match case % 5 {
             0 => 1,
             1 => n,
@@ -406,6 +411,66 @@ fn planned_cache_znorm_matches_the_unplanned_loop_bit_for_bit() {
             assert_eq!(st.kernel_evals, requests, "case {case} {policy:?}");
             assert_eq!(st.cache_hits, 0, "case {case} {policy:?}");
             assert_eq!(st.kernel_fallbacks, 0, "case {case} {policy:?}");
+        }
+    }
+}
+
+/// Every `(m mod 4, window count mod 4)` pair at small and large sizes —
+/// window counts 1–3 (no four-window step) and m = 1–3 (no full lane
+/// block) included — over random values, grid-snapped values (exact
+/// ties), a planted constant run (zero-σ windows) and a NaN window, each
+/// scored three ways: the unplanned loop, a series plan shared by the
+/// queries (`min_dist` under `ForceNaive`), and one `min_dists` call over
+/// the whole query set. All must carry the profile+argmin oracle's bits
+/// and offset.
+#[test]
+fn four_window_loop_is_bit_identical_at_every_shape() {
+    let lengths = [1, 2, 3, 4, 5, 6, 7, 8, 29, 30, 31, 32, 97, 98, 99, 100];
+    let counts = [1, 2, 3, 4, 5, 6, 7, 8, 61, 62, 63, 64, 197, 198, 199, 200];
+    for (a, &m) in lengths.iter().enumerate() {
+        for (b, &windows) in counts.iter().enumerate() {
+            let n = m + windows - 1;
+            let mut g = Gen(0x4A4A ^ ((a * counts.len() + b) as u64) << 1);
+            let random = g.vec(n);
+            let grid = g.grid_vec(n);
+            let mut flat_run = g.vec(n);
+            let at = g.usize_in(0, n - 1);
+            let run = g.usize_in(1, n - at).max(m.min(n - at));
+            let level = g.value();
+            flat_run[at..at + run].fill(level);
+            let mut poisoned = g.grid_vec(n);
+            poisoned[g.usize_in(0, n - 1)] = f64::NAN;
+            for (kind, s) in [
+                ("random", random),
+                ("grid", grid),
+                ("constant run", flat_run),
+                ("NaN window", poisoned),
+            ] {
+                let exact = g.usize_in(0, n - m);
+                let queries = QuerySet::new(vec![
+                    g.vec(m),
+                    g.grid_vec(m),
+                    vec![g.value(); m],
+                    s[exact..exact + m].to_vec(),
+                ]);
+                let mut plan = DistCache::with_policy(KernelPolicy::ForceNaive);
+                let set = DistCache::with_policy(KernelPolicy::ForceNaive).min_dists(
+                    &queries,
+                    &s,
+                    Metric::ZNormEuclidean,
+                );
+                for (i, q) in queries.queries().iter().enumerate() {
+                    let tag = format!("m={m} windows={windows} {kind} series, query {i}");
+                    let want = profile_argmin(q, &s);
+                    assert_bit_identical(sliding_min_dist_znorm(q, &s), want, &tag);
+                    assert_bit_identical(
+                        plan.min_dist(q, &s, Metric::ZNormEuclidean),
+                        want,
+                        &format!("{tag} (plan)"),
+                    );
+                    assert_bit_identical(set[i], want, &format!("{tag} (min_dists)"));
+                }
+            }
         }
     }
 }

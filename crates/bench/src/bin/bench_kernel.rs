@@ -232,10 +232,11 @@ fn main() {
     }
 
     // hand-rolled JSON: the workspace deliberately carries no serde
-    let mut json = String::from("{\n  \"bench\": \"kernel\",\n  \"queries_per_call\": ");
+    let mut json = String::from("{\n  \"bench\": \"kernel\",\n  \"build\": ");
     let _ = write!(
         json,
-        "{num_queries},\n  \"timing\": \"min_of_{passes}x{reps}_short_samples_ms\",\n  \"cases\": [\n"
+        "{},\n  \"queries_per_call\": {num_queries},\n  \"timing\": \"min_of_{passes}x{reps}_short_samples_ms\",\n  \"cases\": [\n",
+        ips_bench::build_stamp().to_string_compact()
     );
     for (i, c) in cases.iter().enumerate() {
         let _ = writeln!(

@@ -269,6 +269,7 @@ fn main() {
 
     let mut doc = Json::object();
     doc.insert("bench", "pipeline");
+    doc.insert("build", ips_bench::build_stamp());
     doc.insert("schema_version", u64::from(SCHEMA_VERSION));
     doc.insert("datasets", DATASETS.to_vec());
     doc.insert(

@@ -299,6 +299,7 @@ fn run() -> Result<(), String> {
 
     let mut doc = Json::object();
     doc.insert("bench", "scaling");
+    doc.insert("build", ips_bench::build_stamp());
     doc.insert("schema_version", u64::from(SCHEMA_VERSION));
     doc.insert(
         "datasets",

@@ -211,6 +211,7 @@ fn run() -> Result<(), String> {
 
     let mut doc = Json::object();
     doc.insert("bench", "serve");
+    doc.insert("build", ips_bench::build_stamp());
     doc.insert("schema_version", u64::from(SCHEMA_VERSION));
     doc.insert("datasets", DATASETS.to_vec());
     doc.insert(

@@ -13,7 +13,22 @@ use ips_baselines::{BspCoverClassifier, BspCoverConfig};
 use ips_classify::forest::{ForestParams, RotationForest};
 use ips_core::ensemble::{CoteIpsEnsemble, EnsembleConfig};
 use ips_core::{IpsClassifier, IpsConfig};
+use ips_obs::Json;
 use ips_tsdata::Dataset;
+
+/// The `build` object every bench bin writes into its `results/*.json`
+/// document, so a record says what it ran on: the target architecture
+/// and whether the AVX2, FMA and AVX-512F target features were enabled
+/// at compile time (`.cargo/config.toml` builds x86-64 for x86-64-v3,
+/// which enables the first two).
+pub fn build_stamp() -> Json {
+    let mut build = Json::object();
+    build.insert("target_arch", std::env::consts::ARCH);
+    build.insert("avx2", cfg!(target_feature = "avx2"));
+    build.insert("fma", cfg!(target_feature = "fma"));
+    build.insert("avx512f", cfg!(target_feature = "avx512f"));
+    build
+}
 
 /// Accuracy (fraction) and wall-clock fit+discovery time of one run.
 #[derive(Debug, Clone, Copy, PartialEq)]

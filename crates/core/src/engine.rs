@@ -62,7 +62,9 @@ use crate::pruning::{
 };
 use crate::schedule::TaskPartition;
 use crate::topk::select_class_from_scores;
-use crate::utility::{exact_request_plan, score_dt_cr_counted, score_exact_replay, ClassRequests};
+use crate::utility::{
+    exact_request_plan, score_dt_cr_with, score_exact_replay, ClassRankTables, ClassRequests,
+};
 
 // ---------------------------------------------------------------------------
 // Telemetry: stages, counters, reports, observers
@@ -1172,8 +1174,11 @@ impl Selector for UtilitySelector {
         ctx: &mut ExecContext,
     ) -> Result<Selection, IpsError> {
         // DT requires a DABF; fall back to exact scoring when pruning ran
-        // without one, even if DT+CR was requested.
-        let dt_dabf = dabf.filter(|_| self.config.use_dt_cr);
+        // without one, even if DT+CR was requested. Its rank tables are
+        // built once per fit and shared by every scored class.
+        let dt = dabf
+            .filter(|_| self.config.use_dt_cr)
+            .map(|dabf| (dabf, ClassRankTables::new(pool, dabf)));
         let classes = pool.classes();
         let batch_len = if ctx.deadline().is_some() {
             1
@@ -1188,8 +1193,8 @@ impl Selector for UtilitySelector {
                 degraded = true;
                 break;
             }
-            scored.extend(match dt_dabf {
-                Some(dabf) => {
+            scored.extend(match &dt {
+                Some((dabf, tables)) => {
                     // Rank-table scoring is class-granular by nature: one
                     // work item per class (every listed class holds ≥ 1
                     // candidate, so items align 1:1 with `batch`).
@@ -1198,7 +1203,7 @@ impl Selector for UtilitySelector {
                     ctx.note_sched_items(Stage::TopK, partition.len());
                     partition.run(ctx.workers(), |item| {
                         let c = batch[item.class_idx];
-                        let (s, e) = score_dt_cr_counted(pool, train, dabf, &self.config, c);
+                        let (s, e) = score_dt_cr_with(pool, train, dabf, &self.config, c, tables);
                         (s, e, Vec::new())
                     })
                 }

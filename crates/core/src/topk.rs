@@ -14,7 +14,7 @@ use ips_tsdata::Dataset;
 
 use crate::candidates::{Candidate, CandidatePool};
 use crate::config::IpsConfig;
-use crate::utility::{score_dt_cr, score_exact};
+use crate::utility::{score_dt_cr_with, score_exact, ClassRankTables};
 
 /// Which utility computation to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,11 +39,15 @@ pub fn select_top_k(
     config: &IpsConfig,
     strategy: TopKStrategy,
 ) -> Vec<Shapelet> {
+    let dt = match (strategy, dabf) {
+        (TopKStrategy::DtCr, Some(dabf)) => Some((dabf, ClassRankTables::new(pool, dabf))),
+        _ => None,
+    };
     let mut shapelets = Vec::new();
     for class in pool.classes() {
-        let scores = match (strategy, dabf) {
-            (TopKStrategy::DtCr, Some(dabf)) => score_dt_cr(pool, train, dabf, config, class),
-            _ => score_exact(pool, train, config, class),
+        let scores = match &dt {
+            Some((dabf, tables)) => score_dt_cr_with(pool, train, dabf, config, class, tables).0,
+            None => score_exact(pool, train, config, class),
         };
         select_class_from_scores(pool, class, &scores, config, &mut shapelets);
     }

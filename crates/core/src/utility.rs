@@ -288,17 +288,49 @@ pub fn score_dt_cr(
     config: &IpsConfig,
     class: u32,
 ) -> Vec<f64> {
-    score_dt_cr_counted(pool, train, dabf, config, class).0
+    let tables = ClassRankTables::new(pool, dabf);
+    score_dt_cr_with(pool, train, dabf, config, class, &tables).0
 }
 
-/// [`score_dt_cr`] with work accounting: returns the scores and the
-/// number of rank / abs-dev queries issued against the DABF tables.
-pub(crate) fn score_dt_cr_counted(
+/// Every class's candidates ranked in that class's own DABF table, one
+/// [`AbsDevTable`] per class in `pool.classes()` order — the inter-class
+/// half of DT + CR. It depends only on the pool and the DABF, so one
+/// build serves every scored class of a fit.
+pub(crate) struct ClassRankTables<'a> {
+    tables: Vec<(u32, &'a ips_filter::ClassDabf, AbsDevTable)>,
+}
+
+impl<'a> ClassRankTables<'a> {
+    /// Ranks each class's candidates in its own table. A class without a
+    /// filter, or without candidates, gets no table.
+    pub(crate) fn new(pool: &CandidatePool, dabf: &'a Dabf) -> Self {
+        let tables = pool
+            .classes()
+            .into_iter()
+            .filter_map(|c| {
+                let f = dabf.class(c)?;
+                let ranks: Vec<f64> = pool
+                    .of_class(c)
+                    .iter()
+                    .map(|x| f.rank_of(&x.embedded) as f64)
+                    .collect();
+                (!ranks.is_empty()).then(|| (c, f, AbsDevTable::new(&ranks)))
+            })
+            .collect();
+        Self { tables }
+    }
+}
+
+/// [`score_dt_cr`] over prebuilt rank tables, with work accounting:
+/// returns the scores and the number of rank / abs-dev queries the
+/// DT + CR computation of `class` issues against the DABF tables.
+pub(crate) fn score_dt_cr_with(
     pool: &CandidatePool,
     train: &Dataset,
     dabf: &Dabf,
     config: &IpsConfig,
     class: u32,
+    tables: &ClassRankTables<'_>,
 ) -> (Vec<f64>, usize) {
     let motifs: Vec<&Candidate> = pool.motifs_of(class).collect();
     if motifs.is_empty() {
@@ -320,19 +352,11 @@ pub(crate) fn score_dt_cr_counted(
     // Other classes: each class's candidates ranked in its own table; the
     // query motif is ranked in that same table so differences live in one
     // space.
-    let other_tables: Vec<(&ips_filter::ClassDabf, AbsDevTable)> = pool
-        .classes()
-        .into_iter()
-        .filter(|&c| c != class)
-        .filter_map(|c| {
-            let f = dabf.class(c)?;
-            let ranks: Vec<f64> = pool
-                .of_class(c)
-                .iter()
-                .map(|x| f.rank_of(&x.embedded) as f64)
-                .collect();
-            (!ranks.is_empty()).then(|| (f, AbsDevTable::new(&ranks)))
-        })
+    let other_tables: Vec<(&ips_filter::ClassDabf, &AbsDevTable)> = tables
+        .tables
+        .iter()
+        .filter(|(c, _, _)| *c != class)
+        .map(|(_, f, t)| (*f, t))
         .collect();
 
     // Own-class instances embedded whole and ranked in the own table.
@@ -374,10 +398,12 @@ pub(crate) fn score_dt_cr_counted(
             u_intra - u_inter + u_dc
         })
         .collect();
-    // Queries issued: the rank lookups that built the tables (one per
-    // motif, per other-class candidate, per own instance) plus, per
-    // motif, one intra abs-dev, a rank + abs-dev per other table, and
-    // one distance-correlation abs-dev.
+    // Queries of this class's DT + CR computation: the rank lookups behind
+    // its tables (one per motif, per other-class candidate, per own
+    // instance) plus, per motif, one intra abs-dev, a rank + abs-dev per
+    // other table, and one distance-correlation abs-dev. The other-class
+    // ranks count for every scored class, shared build or not, so the
+    // figure is the algorithm's and does not depend on the reuse.
     let n = motifs.len();
     let other_ranks: usize = other_tables.iter().map(|(_, t)| t.len()).sum();
     let evals = n + other_ranks + instance_ranks.len() + n * (2 + 2 * other_tables.len());
@@ -613,6 +639,38 @@ mod tests {
             let scores = score_dt_cr(&pool, &train, &dabf, &cfg, c);
             assert_eq!(scores.len(), pool.motifs_of(c).count());
             assert!(scores.iter().all(|s| s.is_finite()));
+        }
+    }
+
+    #[test]
+    fn shared_rank_tables_match_the_per_class_rebuild() {
+        // Four classes, so each scored class folds three other tables.
+        let spec = DatasetSpec::new("UtilT4", 4, 64, 16, 4).with_noise(0.15);
+        let (train, _) = SynthGenerator::new(spec).generate().unwrap();
+        let cfg = IpsConfig::default().with_sampling(5, 3).with_seed(2);
+        let pool = generate_candidates(&train, &cfg);
+        let dabf = build_dabf(&pool, &cfg);
+        let shared = ClassRankTables::new(&pool, &dabf);
+        assert_eq!(shared.tables.len(), 4);
+        for c in pool.classes() {
+            // The per-class rebuild: only the other classes' tables,
+            // ranked afresh for this class.
+            let rebuilt = ClassRankTables {
+                tables: ClassRankTables::new(&pool, &dabf)
+                    .tables
+                    .into_iter()
+                    .filter(|(o, _, _)| *o != c)
+                    .collect(),
+            };
+            let (want, want_evals) = score_dt_cr_with(&pool, &train, &dabf, &cfg, c, &rebuilt);
+            let (got, got_evals) = score_dt_cr_with(&pool, &train, &dabf, &cfg, c, &shared);
+            assert_eq!(got_evals, want_evals, "class {c}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "class {c}");
+            assert_eq!(
+                bits(&score_dt_cr(&pool, &train, &dabf, &cfg, c)),
+                bits(&want)
+            );
         }
     }
 

@@ -33,6 +33,10 @@
 //!   and the per-window tail run at every alignment; and a `DistCache`
 //!   that serves many queries from one series plan, or a whole query set
 //!   through `min_dists`, returns the same bits as the unplanned call.
+//! * **Mean-squared loop**: `sliding_min_dist`, a `ForceNaive` cache and
+//!   `mean_sq_dist` are bit-identical to the indexed early-abandoning
+//!   loop they replaced (kept here as the reference) at every `m mod 16`,
+//!   over random, tied and NaN-poisoned series.
 //! * **Zero-σ convention** (owned by `znorm_dist_from_dot`, shared by the
 //!   naive profile and the kernel): both sides constant → distance
 //!   exactly `0`; exactly one side constant → z-ED exactly `√m`, i.e.
@@ -469,6 +473,111 @@ fn four_window_loop_is_bit_identical_at_every_shape() {
                         &format!("{tag} (plan)"),
                     );
                     assert_bit_identical(set[i], want, &format!("{tag} (min_dists)"));
+                }
+            }
+        }
+    }
+}
+
+/// The indexed early-abandoning mean-squared loop that `sq_dist_abandon`
+/// replaced, kept verbatim as the bit-level reference: four lanes by
+/// `i mod 4`, an abandon check every 16 elements, `(a0+a1)+(a2+a3)` and a
+/// sequential tail.
+fn indexed_sq_dist_abandon(q: &[f64], w: &[f64], cutoff: f64) -> f64 {
+    let n = q.len();
+    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let mut i = 0;
+    while i + 16 <= n {
+        let end = i + 16;
+        while i < end {
+            let d0 = q[i] - w[i];
+            let d1 = q[i + 1] - w[i + 1];
+            let d2 = q[i + 2] - w[i + 2];
+            let d3 = q[i + 3] - w[i + 3];
+            a0 += d0 * d0;
+            a1 += d1 * d1;
+            a2 += d2 * d2;
+            a3 += d3 * d3;
+            i += 4;
+        }
+        if (a0 + a1) + (a2 + a3) > cutoff {
+            return (a0 + a1) + (a2 + a3);
+        }
+    }
+    while i + 4 <= n {
+        let d0 = q[i] - w[i];
+        let d1 = q[i + 1] - w[i + 1];
+        let d2 = q[i + 2] - w[i + 2];
+        let d3 = q[i + 3] - w[i + 3];
+        a0 += d0 * d0;
+        a1 += d1 * d1;
+        a2 += d2 * d2;
+        a3 += d3 * d3;
+        i += 4;
+    }
+    let mut acc = (a0 + a1) + (a2 + a3);
+    while i < n {
+        let d = q[i] - w[i];
+        acc += d * d;
+        i += 1;
+    }
+    acc
+}
+
+/// `sliding_min_dist` over the indexed reference loop.
+fn indexed_sliding_min_dist(q: &[f64], s: &[f64]) -> (f64, usize) {
+    let (q, s) = if q.len() <= s.len() { (q, s) } else { (s, q) };
+    if q.is_empty() {
+        return (f64::INFINITY, 0);
+    }
+    let (mut best, mut best_at) = (f64::INFINITY, 0);
+    for (j, w) in s.windows(q.len()).enumerate() {
+        let d = indexed_sq_dist_abandon(q, w, best * q.len() as f64) / q.len() as f64;
+        if d < best {
+            best = d;
+            best_at = j;
+        }
+    }
+    (best, best_at)
+}
+
+#[test]
+fn mean_squared_loop_is_bit_identical_to_the_indexed_loop() {
+    // Every m mod 16 (the abandon block) and mod 4 (the lanes), over
+    // random, grid-snapped (exact ties) and NaN-poisoned series, with
+    // random, constant and exact-window queries; through the plain call,
+    // a `ForceNaive` cache and `mean_sq_dist`.
+    let lengths = (1..=40).chain([63, 64, 65, 97, 128, 131]);
+    for (a, m) in lengths.enumerate() {
+        for windows in [1, 2, 5, 33] {
+            let n = m + windows - 1;
+            let mut g = Gen(0x5D5D ^ (a as u64) << 8 ^ windows as u64);
+            let mut poisoned = g.grid_vec(n);
+            poisoned[g.usize_in(0, n - 1)] = f64::NAN;
+            for (kind, s) in [
+                ("random", g.vec(n)),
+                ("grid", g.grid_vec(n)),
+                ("NaN", poisoned),
+            ] {
+                let exact = g.usize_in(0, n - m);
+                let queries = [
+                    g.vec(m),
+                    g.grid_vec(m),
+                    vec![g.value(); m],
+                    s[exact..exact + m].to_vec(),
+                ];
+                let mut cache = DistCache::with_policy(KernelPolicy::ForceNaive);
+                for (i, q) in queries.iter().enumerate() {
+                    let tag = format!("m={m} windows={windows} {kind} series, query {i}");
+                    let want = indexed_sliding_min_dist(q, &s);
+                    assert_bit_identical(sliding_min_dist(q, &s), want, &tag);
+                    assert_bit_identical(
+                        cache.min_dist(q, &s, Metric::MeanSquared),
+                        want,
+                        &format!("{tag} (cache)"),
+                    );
+                    let whole = indexed_sq_dist_abandon(q, &s[..m], f64::INFINITY) / m as f64;
+                    assert_eq!(mean_sq_dist(q, &s[..m]).to_bits(), whole.to_bits(), "{tag}");
                 }
             }
         }

@@ -87,12 +87,21 @@ wall-time budgets — and enforces:
   ``t1/cauto`` accuracy cells, so a doctored summary cannot hide a
   rank inversion.
 
+**Build stamp, every mode.** Each bench bin writes a ``build`` object
+(``target_arch`` plus the compile-time ``avx2`` / ``fma`` /
+``avx512f`` target features) into its document. A fresh document
+without one fails, and so does an ``x86_64`` document whose stamp lacks
+``avx2``: the committed ``.cargo/config.toml`` builds x86-64 for
+x86-64-v3, so such a stamp means the config was dropped, ignored or
+overridden by ``RUSTFLAGS``.
+
 Exit status: 0 when everything passes, 1 on any failure.
 
 ``--append-trajectory`` also folds per-method ``fit.total`` sums from
 ``results/GRID.json`` (when present) into each record, so the
 trajectory carries the grid's wall-clock history alongside the
-pipeline benchmark's.
+pipeline benchmark's, and copies the checked document's ``build``
+stamp, so each line says what it ran on.
 
 ``--self-test`` verifies the gate itself. Default mode: the baseline
 must pass against itself, an injected 2x slowdown of every
@@ -105,7 +114,9 @@ drop and an injected cross-thread counter divergence (sampled-pool
 nondeterminism) must fail. Serve mode: the baseline must pass against
 itself, and both an injected wrong prediction (flipped accuracy +
 perturbed response digest) and an injected cross-thread counter
-divergence must fail.
+divergence must fail. Every mode also checks the build-stamp gate: an
+x86-64-v3 stamp and a non-x86 stamp pass, a missing stamp and an
+``x86_64`` stamp without ``avx2`` fail.
 
 Standard library only; no third-party imports.
 """
@@ -157,6 +168,46 @@ SCALING_DENSE_METHOD = "dense"
 # Serve mode: the absolute floor every per-dataset serving accuracy
 # gauge must clear.
 SERVE_ACCURACY_FLOOR = 0.7
+
+
+# The target feature an x86_64 document's `build` stamp must report:
+# `.cargo/config.toml` builds x86-64 for x86-64-v3, which enables it.
+REQUIRED_X86_64_FEATURE = "avx2"
+
+
+def build_failures(doc):
+    """The fresh document's ``build`` stamp must exist and, on x86_64,
+    report the x86-64-v3 build (AVX2 enabled)."""
+    build = doc.get("build")
+    if not isinstance(build, dict) or "target_arch" not in build:
+        return [
+            "build: no build stamp (target_arch + target features); "
+            "regenerate the document with the current bench bins"
+        ]
+    if build["target_arch"] == "x86_64" and build.get(REQUIRED_X86_64_FEATURE) is not True:
+        return [
+            f"build: x86_64 document built without {REQUIRED_X86_64_FEATURE} "
+            f"({json.dumps(build, sort_keys=True)}); .cargo/config.toml "
+            "(target-cpu=x86-64-v3) was not applied; is RUSTFLAGS set?"
+        ]
+    return []
+
+
+def self_test_build_stamp():
+    """The build-stamp gate passes an x86-64-v3 and a non-x86 stamp and
+    fails a missing stamp and an x86_64 stamp without AVX2."""
+    v3 = {"target_arch": "x86_64", "avx2": True, "fma": True, "avx512f": False}
+    cases = [
+        ("x86-64-v3 stamp", {"build": v3}, False),
+        ("aarch64 stamp", {"build": {"target_arch": "aarch64", "avx2": False}}, False),
+        ("missing stamp", {}, True),
+        ("x86_64 stamp without avx2", {"build": {**v3, "avx2": False, "fma": False}}, True),
+    ]
+    return [
+        f"{what}: build gate {'passed' if should_fail else 'failed'}"
+        for what, doc, should_fail in cases
+        if bool(build_failures(doc)) != should_fail
+    ]
 
 
 def load(path, role, bench="bench_pipeline"):
@@ -1004,6 +1055,7 @@ def append_trajectory(
     grid_path="results/GRID.json",
     serve_path="results/BENCH_serve.json",
     repo=None,
+    build=None,
 ):
     """Appends a one-line JSON record for this invocation to `path`.
 
@@ -1012,8 +1064,9 @@ def append_trajectory(
     revision (``dirty`` when the measured code was uncommitted changes on
     top of it), how long each run's fit took (plus the grid's per-method
     totals when ``results/GRID.json`` exists), and whether the gate
-    passed. `repo` is the checkout to read the revision from (default:
-    the current directory).
+    passed. `build` is the checked document's build stamp, copied as
+    is. `repo` is the checkout to read the revision from (default: the
+    current directory).
     """
     import datetime
     import os
@@ -1041,6 +1094,8 @@ def append_trajectory(
     throughput = serve_throughput(serve_path)
     if throughput is not None:
         record["serve_throughput"] = throughput
+    if build is not None:
+        record["build"] = build
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -1128,10 +1183,14 @@ def self_test_trajectory(baseline):
                 return json.loads(f.read().splitlines()[-1])
 
         with_serve = os.path.join(tmp, "with_serve.jsonl")
+        build = {"target_arch": "x86_64", "avx2": True, "fma": True, "avx512f": False}
         append_trajectory(
-            with_serve, baseline, [], grid_path=missing, serve_path=serve_path
+            with_serve, baseline, [], grid_path=missing, serve_path=serve_path,
+            build=build,
         )
         record = last_record(with_serve)
+        if record.get("build") != build:
+            problems.append(f"build stamp not copied: {record.get('build')!r}")
         cell = record.get("serve_throughput", {}).get("serve/mixed/t1")
         if cell != {"rps": 1234.6, "p99_ms": 6.789}:
             problems.append(
@@ -1222,7 +1281,8 @@ def self_test(baseline, max_ratio):
     print(
         f"self-test OK: loader errors are one-line and actionable, identity "
         f"passes, 2x slowdown raises {len(wall_failures)} wall-time failure(s), "
-        f"trajectory folds serve throughput and flags a dirty tree"
+        f"trajectory folds serve throughput and the build stamp and flags a "
+        f"dirty tree"
     )
     return 0
 
@@ -1311,6 +1371,13 @@ def main():
 
     baseline_doc, baseline = load(baseline_path, "baseline", bench)
     if args.self_test:
+        stamp_problems = self_test_build_stamp()
+        if stamp_problems:
+            print("self-test FAILED: build-stamp gate:")
+            for msg in stamp_problems:
+                print(f"  - {msg}")
+            return 1
+        print("self-test OK: build-stamp gate fails a missing and a non-AVX2 x86_64 stamp")
         if args.serve:
             return serve_self_test(baseline_doc, baseline, args.max_ratio)
         if args.grid:
@@ -1328,8 +1395,11 @@ def main():
         failures = scaling_compare(baseline_doc, baseline, fresh_doc, fresh)
     else:
         failures = compare(baseline, fresh, args.max_ratio)
+    failures = build_failures(fresh_doc) + failures
     if args.append_trajectory:
-        append_trajectory(args.append_trajectory, fresh, failures)
+        append_trajectory(
+            args.append_trajectory, fresh, failures, build=fresh_doc.get("build")
+        )
     if failures:
         print(f"{name} check FAILED ({len(failures)} failure(s)):")
         for msg in failures:

@@ -29,10 +29,9 @@ pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// The body runs over `chunks_exact` views, so it carries no bounds checks
 /// and no lane shuffles: lane `l` takes element `i` with `i mod 4 == l`,
-/// which is one 256-bit register on an AVX2 build. The indexed loop it
-/// replaced kept four bounds checks and two shuffles per four elements,
-/// and the same body ran 1.1–1.2× slower on x86-64-v3 than on the SSE2
-/// baseline; every result is bit-identical to it (`kernel_props.rs`).
+/// which is one 256-bit register on an AVX2 build. Every result is
+/// bit-identical to the indexed loop `kernel_props.rs` keeps as its
+/// reference.
 #[inline]
 fn sq_dist_abandon(q: &[f64], w: &[f64], cutoff: f64) -> f64 {
     debug_assert_eq!(q.len(), w.len());
